@@ -3,8 +3,8 @@
 The package builds the Dirichlet sine eigenbasis on uniform grids, applies the
 half Laplacian and its inverse diagonally in that basis, evaluates the
 harmonic extension to the half cylinder with its Dirichlet energy and
-Dirichlet-to-Neumann map, solves the power nonlinearity problem by constrained
-energy minimization with a fixed-point polish, and verifies qualitative
+Dirichlet-to-Neumann map, solves the power nonlinearity problem by the
+normalized fixed-point iteration from the ground mode, and verifies qualitative
 properties (positivity, symmetry, monotonicity, maximum principles, boundary
 derivative sign, spectral stability margin) on the computed solutions.
 """
@@ -22,7 +22,6 @@ from .basis import (
     make_interval,
     make_rectangle,
 )
-from .cli import emit_plot_data, main
 from .extension import (
     ExtensionField,
     ExtremalProfile,
@@ -40,7 +39,6 @@ from .nonlinear import (
     SolveReport,
     critical_exponent,
     galerkin_residual,
-    minimize_I0,
     rescale_to_solution,
     residual,
     solve,
@@ -102,16 +100,13 @@ __all__ = [
     "dirichlet_energy",
     "dtn_fd",
     "eigenpairs",
-    "emit_plot_data",
     "evaluate_extension",
     "extremal_quotient",
     "galerkin_residual",
     "hardy_quotient",
     "inner_product",
-    "main",
     "make_interval",
     "make_rectangle",
-    "minimize_I0",
     "reflect",
     "rescale_to_solution",
     "residual",

@@ -15,6 +15,7 @@ one library operation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -142,7 +143,8 @@ def emit_plot_data(u: GridFn, path) -> None:
             fh.write(",".join(_fmt_float(c) for c in row) + "," + _fmt_float(val) + "\n")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, known) -> dict:
+    """Read a config file; keys outside `known` are rejected, not ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -169,18 +171,32 @@ def _load_config(path: str) -> dict:
             items.append((key.strip(), value.strip()))
     for key, value in items:
         out[str(key).replace("-", "_")] = value
+    unknown = [key for key in out if key not in known]
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
     return out
+
+
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 def _cast(value, kind: str):
     if kind == "float":
         return float(value)
     if kind == "int":
-        return int(float(value)) if isinstance(value, str) else int(value)
+        # strings parse as flags do (int("16.9") fails); JSON numbers must be integral
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError("expected an integer")
+        return int(value)
     if kind == "bool":
-        if isinstance(value, str):
-            return value.strip().lower() in ("1", "true", "yes", "on")
-        return bool(value)
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
+            return _BOOL_WORDS[value.strip().lower()]
+        raise ValueError("expected one of " + "/".join(_BOOL_WORDS))
     return str(value)
 
 
@@ -193,7 +209,7 @@ def _get(args, filecfg: dict, key: str, kind: str, default=None):
     try:
         return _cast(value, kind)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def _parse_domain(spec: str) -> DiscreteDomain:
@@ -226,9 +242,6 @@ def _build_config(args, filecfg) -> SolveConfig:
         ("modes", "int", "K"),
         ("max_iter", "int", "max_iter"),
         ("tol_residual", "float", "tol_residual"),
-        ("step_init", "float", "step_init"),
-        ("backtrack_factor", "float", "backtrack_factor"),
-        ("polish_iters", "int", "polish_iters"),
         ("seed", "int", "rng_seed"),
         ("init_perturbation", "float", "init_perturbation"),
         ("allow_near_critical", "bool", "allow_near_critical"),
@@ -282,7 +295,6 @@ def _report_dict(report: SolveReport, with_coeffs: bool = True) -> dict:
         "p": report.p,
         "K": report.K,
         "I0": report.I0,
-        "multiplier": report.multiplier,
         "residual_inf": report.residual_inf,
         "equation_defect": report.equation_defect,
         "sup_norm": report.sup_norm,
@@ -350,11 +362,11 @@ def _cmd_solve(args, filecfg) -> int:
             fh.write(_json_dumps(_report_dict(report)))
         else:
             header = [
-                "p", "I0", "multiplier", "residual_inf", "equation_defect",
+                "p", "I0", "residual_inf", "equation_defect",
                 "sup_norm", "symmetry_defect", "positivity_min", "iterations", "converged",
             ]
             row = [
-                report.p, report.I0, report.multiplier, report.residual_inf,
+                report.p, report.I0, report.residual_inf,
                 report.equation_defect, report.sup_norm, report.symmetry_defect,
                 report.positivity_min, report.iterations, report.converged,
             ]
@@ -414,6 +426,8 @@ def _cmd_check(args, filecfg) -> int:
     domain = _require_domain(args, filecfg)
     cfg = _build_config(args, filecfg)
     mp_samples = _get(args, filecfg, "mp_samples", "int", 10)
+    if mp_samples < 1:
+        raise ConfigError(f"mp_samples must be at least 1, got {mp_samples}")
     c_minus = _get(args, filecfg, "c_minus", "float", 0.0)
     report = solve(domain, cfg.p, cfg)
     checks = []
@@ -426,16 +440,9 @@ def _cmd_check(args, filecfg) -> int:
             sample = check_weak_mp(domain, basis, g)
             if worst is None or sample.metric + sample.tolerance < worst.metric + worst.tolerance:
                 worst = sample
-        if worst is not None:
-            checks.append(
-                type(worst)(
-                    name=worst.name,
-                    passed=worst.passed,
-                    metric=worst.metric,
-                    tolerance=worst.tolerance,
-                    detail=f"worst of {mp_samples} seeded nonnegative sources",
-                )
-            )
+        checks.append(
+            dataclasses.replace(worst, detail=f"worst of {mp_samples} seeded nonnegative sources")
+        )
         u = report.solution_grid
         checks.append(check_positivity(u))
         for axis in range(domain.n):
@@ -501,11 +508,8 @@ def _add_solver(sp, with_p: bool = True) -> None:
     if with_p:
         sp.add_argument("--p", type=float, help="nonlinearity exponent")
     sp.add_argument("--modes", type=int, help="number of eigenmodes K")
-    sp.add_argument("--max-iter", type=int, help="minimization iteration cap")
+    sp.add_argument("--max-iter", type=int, help="fixed-point iteration cap")
     sp.add_argument("--tol-residual", type=float, help="convergence tolerance on the residual")
-    sp.add_argument("--step-init", type=float, help="initial gradient step")
-    sp.add_argument("--backtrack-factor", type=float, help="step shrink factor in (0,1)")
-    sp.add_argument("--polish-iters", type=int, help="fixed-point polish iteration cap")
     sp.add_argument("--seed", type=int, help="seed for randomized initialization")
     sp.add_argument("--init-perturbation", type=float, help="random perturbation amplitude")
     sp.add_argument(
@@ -571,7 +575,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        filecfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        known = set(vars(args)) - {"command"}
+        filecfg = _load_config(args.config, known) if args.config else {}
         return _DISPATCH[args.command](args, filecfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,24 +1,21 @@
-"""Constrained minimization and solve of the power problem for the square-root operator.
+"""Solve of the power problem for the square-root operator.
 
-The solver finds u > 0 vanishing on the boundary with A_half u = u^p in three
-stages. First, minimize the extension energy sum b_k^2 sqrt(lambda_k) over
-trace functions with unit L^(p+1) norm (projected gradient: the energy gradient
-is projected onto the constraint tangent space, a backtracking step is taken,
-the iterate is made nonnegative pointwise and renormalized to the constraint
-sphere). Second, rescale the minimizer by the Lagrange multiplier, which equals
-the minimum energy I0: pairing the stationarity relation with the minimizer
-gives multiplier I0 and scale factor I0^(1/(p-1)). Third, polish by the
-normalized fixed-point iteration w <- B_half(projection of u^p), renormalized
-to the constraint sphere each step (the unnormalized map is radially repelling
-with amplitude factor p > 1, so the renormalization is what makes the
-iteration contract), damped by half whenever the residual fails to decrease.
+The solver finds u > 0 vanishing on the boundary with A_half u = u^p. The
+positive solution is the minimizer of the extension energy sum b_k^2
+sqrt(lambda_k) over trace functions with unit L^(p+1) norm, scaled by
+I0^(1/(p-1)) where I0 is the minimum energy. It is reached by the normalized
+fixed-point (Petviashvili) iteration w <- B_half(projection of u^p) started
+from the normalized ground mode, with u = I0(w)^(1/(p-1)) w and w renormalized
+to the constraint sphere each step: the unnormalized map is radially
+repelling with amplitude factor p > 1, so the renormalization is what makes
+the iteration contract. The solve reports the iterate with the smallest
+projected residual, and stops at 1e-2 * tol_residual, at max_iter steps, or
+after STALL_STEPS steps without a new best residual.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,12 +30,14 @@ from .basis import (
 )
 from .spectral import SpectralFn, synthesize
 
-THREADS_ENV = "HALFLAP_THREADS"
-
 # p close to 1 degenerates the rescaling exponent 1/(p-1)
 MIN_EXPONENT = 1.1
 # runs within this fraction of the critical exponent need the override flag
 NEAR_CRITICAL_BAND = 0.05
+# steps without a new best residual before the iteration gives up: near the
+# round-off floor the residual can wander on a plateau above the target (4e-11
+# to 1e-10 on 2:1 rectangles at p = 2.5, against 1e-11) and would spin to max_iter
+STALL_STEPS = 20
 
 
 class ConfigError(ValueError):
@@ -63,18 +62,14 @@ def critical_exponent(n: int) -> float:
 class SolveConfig:
     """Solver parameters.
 
-    p may be left None and supplied as the explicit argument of minimize_I0 or
-    solve; when both are given they must agree. step_init defaults to
-    0.5 / sqrt(lambda_K), the inverse spectral norm of the energy gradient.
+    p may be left None and supplied as the explicit argument of solve; when
+    both are given they must agree. max_iter caps the fixed-point steps.
     """
 
     p: float | None = None
     K: int = 64
     max_iter: int = 500
     tol_residual: float = 1e-9
-    step_init: float | None = None
-    backtrack_factor: float = 0.5
-    polish_iters: int = 40
     rng_seed: int = 0
     init_perturbation: float = 0.0
     allow_near_critical: bool = False
@@ -88,12 +83,6 @@ class SolveConfig:
             raise ConfigError("max_iter must be at least 1")
         if not self.tol_residual > 0:
             raise ConfigError("tol_residual must be positive")
-        if self.step_init is not None and not self.step_init > 0:
-            raise ConfigError("step_init must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigError("backtrack_factor must lie in (0, 1)")
-        if self.polish_iters < 0:
-            raise ConfigError("polish_iters must be nonnegative")
         if self.init_perturbation < 0:
             raise ConfigError("init_perturbation must be nonnegative")
 
@@ -105,14 +94,14 @@ class SolveReport:
     residual_inf is the sup-norm defect of the discrete (mode-projected)
     equation and is what tol_residual governs; equation_defect is the
     unprojected defect against the pointwise power, which is limited by
-    spectral truncation and decreases as K and N grow. multiplier always
-    equals I0.
+    spectral truncation and decreases as K and N grow. iterations counts
+    fixed-point steps; when the solve did not converge, detail names the stop
+    that fired.
     """
 
     solution: SpectralFn | None
     solution_grid: GridFn | None
     I0: float
-    multiplier: float
     residual_inf: float
     equation_defect: float
     sup_norm: float
@@ -167,69 +156,6 @@ def _constraint_scale(values: np.ndarray, weight: float, p: float) -> float:
     return float((np.sum(np.abs(values) ** (p + 1)) * weight) ** (1.0 / (p + 1)))
 
 
-def _minimize(basis: EigenBasis, p: float, cfg: SolveConfig):
-    """Projected gradient descent; returns (coeffs, grid, energies, constraints)."""
-    Phi = basis.matrix
-    s = basis.sqrt_lambdas
-    wq = basis.domain.weight
-    w = Phi[0].copy()
-    if cfg.init_perturbation > 0:
-        rng = np.random.default_rng(cfg.rng_seed)
-        w = w + cfg.init_perturbation * (rng.standard_normal(basis.K) @ Phi)
-    w = np.abs(w)
-    w /= _constraint_scale(w, wq, p)
-    b = Phi @ w * wq
-    energy = float(np.sum(b * b * s))
-    energies = [energy]
-    constraints = [_constraint_scale(w, wq, p) ** (p + 1)]
-    step0 = cfg.step_init if cfg.step_init is not None else 0.5 / s[-1]
-    for _ in range(cfg.max_iter):
-        grad = 2.0 * s * b
-        normal = (p + 1.0) * (Phi @ (w**p) * wq)
-        nn = float(normal @ normal)
-        if nn == 0.0:
-            break
-        tangential = grad - (float(grad @ normal) / nn) * normal
-        step = step0
-        accepted = False
-        for _ in range(60):
-            b_try = b - step * tangential
-            w_try = np.abs(b_try @ Phi)
-            scale = _constraint_scale(w_try, wq, p)
-            if scale > 0.0:
-                w_try = w_try / scale
-                b_new = Phi @ w_try * wq
-                e_new = float(np.sum(b_new * b_new * s))
-                if e_new <= energy:
-                    accepted = True
-                    break
-            step *= cfg.backtrack_factor
-        if not accepted:
-            break
-        w, b, energy = w_try, b_new, e_new
-        energies.append(energy)
-        constraints.append(_constraint_scale(w, wq, p) ** (p + 1))
-        if energies[-2] - energy <= 1e-15 * energy:
-            break
-    return b, w, energies, constraints
-
-
-def minimize_I0(
-    domain: DiscreteDomain, p: float | None, cfg: SolveConfig
-) -> tuple[SpectralFn, float]:
-    """Minimize the extension energy over unit-L^(p+1)-norm trace functions.
-
-    Returns the nonnegative minimizer (constraint holds at exit to round-off)
-    and the minimum energy I0.
-    """
-    p = _resolve_p(p, cfg)
-    _validate_exponent(domain, p, cfg)
-    basis = eigenpairs(domain, cfg.K)
-    _check_dealiasing(basis)
-    b, _, energies, _ = _minimize(basis, p, cfg)
-    return SpectralFn(basis, b), energies[-1]
-
-
 def rescale_to_solution(w: SpectralFn, I0: float, p: float) -> SpectralFn:
     """Scale the constrained minimizer by the Lagrange factor I0^(1/(p-1))."""
     if not I0 > 0:
@@ -252,11 +178,12 @@ def _defects(basis: EigenBasis, u_coeffs: np.ndarray, p: float) -> tuple[float, 
     """Unprojected and mode-projected sup-norm defects of A_half u = u^p."""
     Phi = basis.matrix
     wq = basis.domain.weight
-    ug = u_coeffs @ Phi
-    au = (u_coeffs * basis.sqrt_lambdas) @ Phi
-    power = np.maximum(ug, 0.0) ** p
-    raw = float(np.max(np.abs(au - power)))
-    projected = float(np.max(np.abs(au - (Phi @ power * wq) @ Phi)))
+    s = basis.sqrt_lambdas
+    power = np.maximum(u_coeffs @ Phi, 0.0) ** p
+    raw = float(np.max(np.abs((u_coeffs * s) @ Phi - power)))
+    # the same expression as the residual in _fixed_point, so a solve reports
+    # exactly the residual its iteration measured
+    projected = float(np.max(np.abs((u_coeffs * s - Phi @ power * wq) @ Phi)))
     return raw, projected
 
 
@@ -278,54 +205,6 @@ def galerkin_residual(u: SpectralFn, p: float) -> float:
     return projected
 
 
-def _polish(basis: EigenBasis, p: float, w_coeffs: np.ndarray, target: float, iters: int):
-    """Normalized fixed-point refinement of the constrained minimizer.
-
-    Iterates w <- renormalize(B_half(projection of (I0^(1/(p-1)) w)^p)), blending
-    with the previous iterate at weight theta, halving theta whenever the
-    projected residual fails to decrease. Returns the best iterate seen.
-    """
-    Phi = basis.matrix
-    s = basis.sqrt_lambdas
-    wq = basis.domain.weight
-
-    def assess(wb: np.ndarray) -> tuple[float, float]:
-        I0 = float(np.sum(wb * wb * s))
-        ub = I0 ** (1.0 / (p - 1.0)) * wb
-        _, projected = _defects(basis, ub, p)
-        return I0, projected
-
-    cur = w_coeffs
-    cur_I0, cur_res = assess(cur)
-    best, best_I0, best_res = cur, cur_I0, cur_res
-    theta = 1.0
-    used = 0
-    for _ in range(iters):
-        if best_res <= target:
-            break
-        used += 1
-        ug = (cur_I0 ** (1.0 / (p - 1.0)) * cur) @ Phi
-        z = (Phi @ (np.maximum(ug, 0.0) ** p) * wq) / s
-        z_scale = _constraint_scale(z @ Phi, wq, p)
-        if not (z_scale > 0.0 and np.all(np.isfinite(z))):
-            break
-        cand = cur + theta * (z / z_scale - cur)
-        cand_scale = _constraint_scale(cand @ Phi, wq, p)
-        if not cand_scale > 0.0:
-            break
-        cand = cand / cand_scale
-        cand_I0, cand_res = assess(cand)
-        if cand_res < cur_res:
-            cur, cur_I0, cur_res = cand, cand_I0, cand_res
-            if cand_res < best_res:
-                best, best_I0, best_res = cand, cand_I0, cand_res
-        else:
-            theta *= 0.5
-            if theta < 1e-3:
-                break
-    return best, best_I0, best_res, used
-
-
 def _symmetry_defect(domain: DiscreteDomain, values: np.ndarray) -> float:
     arr = values.reshape(domain.shape)
     worst = 0.0
@@ -342,7 +221,6 @@ def _diverged_report(
         solution=None,
         solution_grid=None,
         I0=nan,
-        multiplier=nan,
         residual_inf=math.inf,
         equation_defect=math.inf,
         sup_norm=nan,
@@ -359,20 +237,56 @@ def _diverged_report(
     )
 
 
+def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
+    """Normalized fixed-point iteration from the (perturbed) ground mode.
+
+    Returns (I0, u coefficients, steps, stop) for the iterate with the smallest
+    projected residual; stop is "" when the target was met, else the reason the
+    iteration ended. A nonfinite iterate returns None coefficients.
+    """
+    Phi = basis.matrix
+    s = basis.sqrt_lambdas
+    wq = basis.domain.weight
+    w = Phi[0].copy()
+    if cfg.init_perturbation > 0:
+        rng = np.random.default_rng(cfg.rng_seed)
+        w = w + cfg.init_perturbation * (rng.standard_normal(basis.K) @ Phi)
+    w = np.abs(w)
+    w /= _constraint_scale(w, wq, p)
+    b = Phi @ w * wq
+    target = max(cfg.tol_residual * 1e-2, 1e-14)
+    best_res, best_I0, best_u, best_step = math.inf, math.nan, None, 0
+    step = 0
+    while True:
+        I0 = float(np.sum(b * b * s))
+        ub = I0 ** (1.0 / (p - 1.0)) * b
+        Pb = Phi @ (np.maximum(ub @ Phi, 0.0) ** p) * wq
+        res = float(np.max(np.abs((ub * s - Pb) @ Phi)))
+        if res < best_res:
+            best_res, best_I0, best_u, best_step = res, I0, ub, step
+        if best_res <= target:
+            return best_I0, best_u, step, ""
+        if step == cfg.max_iter:
+            return best_I0, best_u, step, f"iteration cap max_iter = {cfg.max_iter} reached"
+        if step - best_step >= STALL_STEPS:
+            return best_I0, best_u, step, f"no new best residual in {STALL_STEPS} steps"
+        z = Pb / s
+        scale = _constraint_scale(z @ Phi, wq, p)
+        if not 0.0 < scale < math.inf:
+            return math.nan, None, step, "fixed-point iteration produced a nonfinite iterate"
+        b = z / scale
+        step += 1
+
+
 def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveReport:
-    """Full pipeline: minimize, rescale by the multiplier, polish, report."""
+    """Full pipeline: validate, build the basis, iterate to the fixed point, report."""
     p = _resolve_p(p, cfg)
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
-    b_w, _, energies, _ = _minimize(basis, p, cfg)
-    if not np.all(np.isfinite(b_w)):
-        return _diverged_report(domain, p, cfg, "minimization produced nonfinite coefficients")
-    target = max(cfg.tol_residual * 1e-2, 1e-14)
-    b_w, I0, res_projected, polish_used = _polish(basis, p, b_w, target, cfg.polish_iters)
-    if not (math.isfinite(I0) and I0 > 0 and np.all(np.isfinite(b_w))):
-        return _diverged_report(domain, p, cfg, "polish produced a nonfinite iterate")
-    u_coeffs = I0 ** (1.0 / (p - 1.0)) * b_w
+    I0, u_coeffs, steps, stop = _fixed_point(basis, p, cfg)
+    if u_coeffs is None:
+        return _diverged_report(domain, p, cfg, stop)
     raw, projected = _defects(basis, u_coeffs, p)
     u_grid = u_coeffs @ basis.matrix
     converged = bool(projected <= cfg.tol_residual)
@@ -380,11 +294,10 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         solution=SpectralFn(basis, u_coeffs),
         solution_grid=GridFn(domain, u_grid),
         I0=I0,
-        multiplier=I0,
         residual_inf=projected,
         equation_defect=raw,
         sup_norm=float(np.max(np.abs(u_grid))),
-        iterations=(len(energies) - 1) + polish_used,
+        iterations=steps,
         converged=converged,
         symmetry_defect=_symmetry_defect(domain, u_grid),
         positivity_min=float(np.min(u_grid)),
@@ -393,38 +306,17 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         tol_residual=cfg.tol_residual,
         rng_seed=cfg.rng_seed,
         domain=domain,
-        detail="" if converged else "residual above tol_residual after polish",
+        detail="" if converged else f"residual above tol_residual: {stop}",
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _sweep_row(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> SolveReport:
+    try:
+        return solve(domain, p, replace(cfg, p=p))
+    except (ConfigError, DomainError, AliasingError) as exc:
+        return _diverged_report(domain, p, cfg, f"rejected: {exc}")
 
 
 def sweep(domain: DiscreteDomain, p_list, cfg: SolveConfig) -> list[SolveReport]:
-    """One solve per exponent; rows keep input order and never abort the batch.
-
-    Rows run concurrently up to the HALFLAP_THREADS cap (default: machine
-    parallelism). A rejected or failed row becomes a flagged report.
-    """
-    exponents = [float(q) for q in p_list]
-    if not exponents:
-        return []
-
-    def one(q: float) -> SolveReport:
-        try:
-            return solve(domain, q, replace(cfg, p=q))
-        except (ConfigError, DomainError, AliasingError) as exc:
-            return _diverged_report(domain, q, cfg, f"rejected: {exc}")
-
-    workers = min(_thread_count(), len(exponents))
-    if workers == 1:
-        return [one(q) for q in exponents]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, exponents))
+    """One solve per exponent, in input order; a rejected row becomes a flagged report."""
+    return [_sweep_row(domain, float(q), cfg) for q in p_list]

@@ -2,12 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from halflap import GridFn, SolveConfig, emit_plot_data, make_interval, solve
-from halflap.cli import run
+from halflap import GridFn, SolveConfig, make_interval, solve
+from halflap.cli import emit_plot_data, run
 
 
 def run_capture(argv, capsys):
@@ -73,7 +75,7 @@ def test_solve_emits_json_report(capsys):
     report = json.loads(out)
     assert report["converged"] is True
     assert report["residual_inf"] <= report["tol_residual"]
-    assert report["multiplier"] == report["I0"]
+    assert "multiplier" not in report
     assert len(report["solution_coeffs"]) == 64
     assert report["domain"] == {"kind": "interval", "lengths": [1.0], "grid_counts": [256]}
 
@@ -186,6 +188,75 @@ def test_malformed_config_line(tmp_path, capsys):
     code = run(["solve", "--config", str(cfg), "--p", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    base = "domain = interval:1:256\np = 2\nmodes = 64\n"
+    for extra, key in (
+        ("step_init = 0.1", "step_init"),
+        ("polish-iters = 40", "polish_iters"),
+        ("modse = 8", "modse"),
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(base + extra + "\n")
+        code = run(["solve", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err
+
+
+def test_config_int_rejects_non_integral_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain = interval:1:256\np = 2\nmodes = 16.9\n")
+    code = run(["solve", "--config", str(cfg)])
+    assert code == 2
+    assert "modes" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"domain": "interval:1:256", "p": 2.0, "modes": 64.0}))
+    code, out = run_capture(["solve", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["K"] == 64
+
+
+def test_config_bool_accepts_only_known_tokens(tmp_path, capsys):
+    # p = 2.9 on the square runs only when allow_near_critical reads as true
+    base = {"domain": "rectangle:1:1:64:64", "p": 2.9, "modes": 16}
+    text = "".join(f"{k} = {v}\n" for k, v in base.items())
+    cfg = tmp_path / "run.cfg"
+    jcfg = tmp_path / "run.json"
+    for token in ("ture", "2", ""):
+        cfg.write_text(text + f"allow_near_critical = {token}\n")
+        assert run(["solve", "--config", str(cfg)]) == 2
+        assert "bad value for allow_near_critical" in capsys.readouterr().err
+    jcfg.write_text(json.dumps({**base, "allow_near_critical": 1}))
+    assert run(["solve", "--config", str(jcfg)]) == 2
+    assert "bad value for allow_near_critical" in capsys.readouterr().err
+    for token in ("YES", "On", "1", "true"):
+        cfg.write_text(text + f"allow_near_critical = {token}\n")
+        assert run(["solve", "--config", str(cfg)]) != 2
+        capsys.readouterr()
+    jcfg.write_text(json.dumps({**base, "allow_near_critical": True}))
+    assert run(["solve", "--config", str(jcfg)]) != 2
+    capsys.readouterr()
+
+
+def test_check_rejects_nonpositive_mp_samples(capsys):
+    for samples in ("0", "-3"):
+        code = run(["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",
+                    "--mp-samples", samples])
+        assert code == 2
+        assert "mp_samples" in capsys.readouterr().err
+
+
+def test_module_entry_points_run_without_warnings():
+    for module in ("halflap.cli", "halflap"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "eig", "--domain", "interval:1:8", "--modes", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "k,lambda"
 
 
 def test_missing_config_file(capsys):

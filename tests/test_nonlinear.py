@@ -1,4 +1,4 @@
-"""Constrained minimization, rescaling, residuals, solve, and sweep."""
+"""Fixed-point solve, rescaling, residuals, and sweep."""
 
 import math
 
@@ -16,13 +16,10 @@ from halflap import (
     galerkin_residual,
     make_interval,
     make_rectangle,
-    minimize_I0,
     rescale_to_solution,
     residual,
     solve,
     sweep,
-    synthesize,
-    v0_norm_sq,
 )
 
 UNIT_INTERVAL = make_interval(1.0, 256)
@@ -36,37 +33,18 @@ def cfg_1d(**kw):
     return SolveConfig(**base)
 
 
-def constraint_integral(w, p):
-    u = synthesize(w)
-    return float(np.sum(np.abs(u.values) ** (p + 1)) * np.prod(w.basis.domain.spacings))
-
-
 def test_critical_exponent_values():
     assert critical_exponent(2) == 3.0
     assert critical_exponent(3) == 2.0
     assert critical_exponent(1) == math.inf
 
 
-def test_minimize_reaches_positive_energy():
-    w, I0 = minimize_I0(UNIT_INTERVAL, 2.0, cfg_1d())
-    assert I0 > 0
-    assert constraint_integral(w, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_minimize_energy_nonincreasing_in_iterations():
-    vals = [minimize_I0(UNIT_INTERVAL, 2.0, cfg_1d(max_iter=m))[1] for m in (5, 20, 80, 320)]
-    assert all(b <= a + 1e-13 for a, b in zip(vals, vals[1:]))
-
-
-def test_first_iterate_does_not_increase_energy():
-    basis = eigenpairs(UNIT_INTERVAL, 64)
-    start = np.zeros(64)
-    start[0] = 1.0
-    w0 = SpectralFn(basis, start)
-    scale = constraint_integral(w0, 2.0) ** (1.0 / 3.0)
-    start_energy = v0_norm_sq(SpectralFn(basis, start / scale))
-    _, after_one = minimize_I0(UNIT_INTERVAL, 2.0, cfg_1d(max_iter=1, polish_iters=0))
-    assert after_one <= start_energy + 1e-13
+def test_residual_nonincreasing_in_max_iter():
+    reps = [solve(UNIT_INTERVAL, 2.0, cfg_1d(max_iter=m)) for m in (1, 5, 20, 80)]
+    res = [r.residual_inf for r in reps]
+    assert all(b <= a for a, b in zip(res, res[1:]))
+    assert not reps[0].converged
+    assert "max_iter" in reps[0].detail
 
 
 def test_supercritical_exponent_rejected():
@@ -93,11 +71,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolveConfig(p=2.0, K=0)
     with pytest.raises(ConfigError):
-        SolveConfig(p=2.0, K=16, backtrack_factor=1.5)
+        SolveConfig(p=2.0, K=16, max_iter=0)
     with pytest.raises(ConfigError):
         SolveConfig(p=2.0, K=16, tol_residual=-1.0)
-    with pytest.raises(ConfigError):
-        SolveConfig(p=2.0, K=16, polish_iters=-1)
 
 
 def test_explicit_exponent_must_agree_with_config():
@@ -170,18 +146,9 @@ def test_residual_small_at_dense_discretization():
     assert galerkin_residual(sol, 2.0) == pytest.approx(r, abs=1e-10)
 
 
-def test_rescaled_minimizer_nearly_solves_the_equation():
-    rep = solve(UNIT_INTERVAL, 2.0, cfg_1d())
-    floor = residual(rep.solution, 2.0)
-    w, I0 = minimize_I0(UNIT_INTERVAL, 2.0, cfg_1d(polish_iters=0))
-    u = rescale_to_solution(w, I0, 2.0)
-    assert residual(u, 2.0) <= 10.0 * floor
-
-
 def test_solve_1d_report_facts():
     rep = solve(UNIT_INTERVAL, 2.0, cfg_1d())
     assert rep.converged
-    assert rep.multiplier == rep.I0
     assert rep.positivity_min > 0
     assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
     assert rep.I0 == pytest.approx(ref.ORACLE_I0_1D, rel=1e-6)
@@ -197,27 +164,38 @@ def test_solve_defect_decreases_under_refinement():
 
 
 def test_solve_2d_symmetric_in_both_axes():
-    rep = solve(UNIT_SQUARE, 2.0, SolveConfig(p=2.0, K=60))
-    assert rep.converged
-    assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
-    assert rep.positivity_min > 0
+    cases = [
+        (UNIT_SQUARE, 2.0, True),
+        # the residual plateaus above the 1e-2 * tol_residual target here, so
+        # only the stall stop ends the iteration before max_iter; the K = 60
+        # truncation undershoots zero near the long sides (grid minimum about
+        # -4.2e-3 against sup 4.66), so positivity is not asserted
+        (make_rectangle(2.0, 1.0, 128, 64), 2.5, False),
+    ]
+    for domain, p, positive in cases:
+        cfg = SolveConfig(p=p, K=60)
+        rep = solve(domain, p, cfg)
+        assert rep.converged
+        assert rep.iterations < cfg.max_iter
+        assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
+        if positive:
+            assert rep.positivity_min > 0
 
 
 def test_solve_is_deterministic():
     cfg = cfg_1d(init_perturbation=1e-3, rng_seed=5)
     a = solve(UNIT_INTERVAL, 2.0, cfg)
     b = solve(UNIT_INTERVAL, 2.0, cfg)
+    assert a.converged
     assert a.I0 == b.I0
     np.testing.assert_array_equal(a.solution.coeffs, b.solution.coeffs)
 
 
 def test_solve_seed_insensitive_diagnostic():
     # different random initializations land on the same minimizer
-    vals = [
-        solve(UNIT_INTERVAL, 2.0, cfg_1d(init_perturbation=1e-2, rng_seed=s)).I0
-        for s in (0, 1)
-    ]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-9)
+    reps = [solve(UNIT_INTERVAL, 2.0, cfg_1d(init_perturbation=1e-2, rng_seed=s)) for s in (0, 1)]
+    assert all(r.converged for r in reps)
+    assert reps[0].I0 == pytest.approx(reps[1].I0, rel=1e-9)
 
 
 def test_sweep_preserves_input_order():
@@ -244,14 +222,3 @@ def test_near_critical_override_produces_report():
     )
     assert math.isfinite(rep.sup_norm)
     assert rep.detail == "" or "rejected" not in rep.detail
-
-
-def test_sweep_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("HALFLAP_THREADS", "1")
-    reports = sweep(UNIT_INTERVAL, [1.5, 2.0], cfg_1d(p=None))
-    assert [r.p for r in reports] == [1.5, 2.0]
-    assert all(r.converged for r in reports)
-    serial_I0 = [r.I0 for r in reports]
-    monkeypatch.setenv("HALFLAP_THREADS", "4")
-    parallel = sweep(UNIT_INTERVAL, [1.5, 2.0], cfg_1d(p=None))
-    assert [r.I0 for r in parallel] == serial_I0
