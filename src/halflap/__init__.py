@@ -23,7 +23,6 @@ from .basis import (
     make_rectangle,
 )
 from .extension import (
-    ExtensionField,
     ExtremalProfile,
     TruncationError,
     best_trace_constant,
@@ -76,7 +75,6 @@ __all__ = [
     "DomainError",
     "DomainMismatchError",
     "EigenBasis",
-    "ExtensionField",
     "ExtremalProfile",
     "GridFn",
     "SignViolationError",

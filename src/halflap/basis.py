@@ -186,24 +186,24 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
         indices = tuple((int(k),) for k in ks)
     else:
         (L1, L2), (N1, N2) = domain.lengths, domain.grid_counts
-        j = np.arange(1, N1)
-        k = np.arange(1, N2)
-        lam = (j[:, None] * np.pi / L1) ** 2 + (k[None, :] * np.pi / L2) ** 2
-        order = sorted(
-            ((lam[a, b], a + 1, b + 1) for a in range(N1 - 1) for b in range(N2 - 1))
-        )[:K]
-        lambdas = np.array([t[0] for t in order])
-        indices = tuple((t[1], t[2]) for t in order)
-        rows1 = _axis_modes(domain, 0, max(t[1] for t in order))
-        rows2 = _axis_modes(domain, 1, max(t[2] for t in order))
-        matrix = np.array([np.outer(rows1[a - 1], rows2[b - 1]).ravel() for _, a, b in order])
+        j, k = np.meshgrid(np.arange(1, N1), np.arange(1, N2), indexing="ij")
+        j, k = j.ravel(), k.ravel()
+        lam = (j * np.pi / L1) ** 2 + (k * np.pi / L2) ** 2
+        order = np.lexsort((k, j, lam))[:K]
+        j, k, lambdas = j[order], k[order], lam[order]
+        indices = tuple(zip(j.tolist(), k.tolist()))
+        rows1 = _axis_modes(domain, 0, int(j.max()))
+        rows2 = _axis_modes(domain, 1, int(k.max()))
+        matrix = (rows1[j - 1][:, :, None] * rows2[k - 1][:, None, :]).reshape(K, -1)
+    # the matrix is built here, so it is frozen in place rather than copied
+    matrix.flags.writeable = False
     return EigenBasis(
         domain=domain,
         K=K,
         lambdas=_freeze(lambdas),
         sqrt_lambdas=_freeze(np.sqrt(lambdas)),
         mode_indices=indices,
-        matrix=_freeze(matrix),
+        matrix=matrix,
     )
 
 

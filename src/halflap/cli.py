@@ -45,28 +45,49 @@ from .verification import (
     stability_margin,
 )
 
-_DEFAULT_FORMAT = {
-    "eig": "csv",
-    "apply": "csv",
-    "solve": "json",
-    "sweep": "csv",
-    "extend": "csv",
-    "check": "json",
-    "trace-constant": "json",
-}
-
 _OPS = {
     "a-half": apply_A_half,
     "b-half": apply_B_half,
     "inv-laplacian": apply_inv_laplacian,
 }
 
+# dest -> (type, or a tuple of choices, and help); bool marks store_const flags.
+# The same entry parses the flag and casts the config-file value.
+_OPTIONS = {
+    "config": (str, "config file: key=value lines or a JSON object"),
+    "output": (str, "output path, '-' for stdout (default)"),
+    "format": (("csv", "json"), "report format"),
+    "domain": (str, "interval:L:N or rectangle:L1:L2:N1:N2"),
+    "p": (float, "nonlinearity exponent"),
+    "p_list": (str, "comma-separated exponents"),
+    "modes": (int, "number of eigenmodes K"),
+    "max_iter": (int, "fixed-point iteration cap"),
+    "tol_residual": (float, "convergence tolerance on the residual"),
+    "seed": (int, "seed for randomized initialization"),
+    "init_perturbation": (float, "random perturbation amplitude"),
+    "allow_near_critical": (
+        bool, "permit exponents within 5%% of the critical one (diagnostic runs)"
+    ),
+    "op": (tuple(sorted(_OPS)), "operator to apply"),
+    "coeffs": (str, "comma-separated input coefficients"),
+    "mode": (int, "input is the unit coefficient on this mode"),
+    "y": (float, "evaluation height, y >= 0"),
+    "mp_samples": (int, "random sources for the weak maximum principle"),
+    "c_minus": (float, "negative-part bound for the stability margin"),
+    "n": (int, "space dimension, n >= 2"),
+}
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return format(x, ".17g")
+_COMMON = ("config", "output", "format", "domain")
+_SOLVER = (
+    "modes", "max_iter", "tol_residual", "seed", "init_perturbation", "allow_near_critical"
+)
+# used when neither the flag nor the config file sets the option
+_DEFAULTS = {"modes": 64, "mp_samples": 10, "c_minus": 0.0}
+
+_REPORT_KEYS = (
+    "p", "K", "I0", "residual_inf", "equation_defect", "sup_norm", "iterations",
+    "converged", "symmetry_defect", "positivity_min", "tol_residual", "rng_seed", "detail",
+)
 
 
 def _json_write(obj, out: list) -> None:
@@ -123,7 +144,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
+        return format(float(v), ".17g")  # nonfinite values print as nan, inf, -inf
     return str(v)
 
 
@@ -133,14 +154,16 @@ def _write_csv(fh, header: list[str], rows) -> None:
         fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
+def _plot_table(u: GridFn) -> tuple[list[str], list[list]]:
+    """Column names and rows (node coordinates, then the value) of a grid function."""
+    header = ["x", "u"] if u.domain.n == 1 else ["x1", "x2", "u"]
+    return header, [list(c) + [v] for c, v in zip(u.domain.node_coords(), u.values)]
+
+
 def emit_plot_data(u: GridFn, path) -> None:
     """Write node coordinates and values as CSV columns with a header row."""
-    coords = u.domain.node_coords()
-    header = "x,u" if u.domain.n == 1 else "x1,x2,u"
     with _open_output(path) as fh:
-        fh.write(header + "\n")
-        for row, val in zip(coords, u.values):
-            fh.write(",".join(_fmt_float(c) for c in row) + "," + _fmt_float(val) + "\n")
+        _write_csv(fh, *_plot_table(u))
 
 
 def _load_config(path: str, known) -> dict:
@@ -183,36 +206,33 @@ _BOOL_WORDS = {
 }
 
 
-def _cast(value, kind: str):
-    if kind == "float":
-        return float(value)
-    if kind == "int":
-        # strings parse as flags do (int("16.9") fails); JSON numbers must be integral
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError("expected an integer")
-        return int(value)
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
-            return _BOOL_WORDS[value.strip().lower()]
-        raise ValueError("expected one of " + "/".join(_BOOL_WORDS))
-    return str(value)
-
-
-def _get(args, filecfg: dict, key: str, kind: str, default=None):
-    value = getattr(args, key, None)
-    if value is None and key in filecfg:
-        value = filecfg[key]
-    if value is None:
-        return default
+def _cast(key: str, value):
+    """A config-file value as its flag would parse it; ConfigError names the key."""
+    kind = _OPTIONS[key][0]
     try:
-        return _cast(value, kind)
+        if kind is int:
+            # strings parse as flags do (int("16.9") fails); JSON numbers must be integral
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError("expected an integer")
+            return int(value)
+        if kind is bool:
+            if isinstance(value, bool):
+                return value
+            if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
+                return _BOOL_WORDS[value.strip().lower()]
+            raise ValueError("expected one of " + "/".join(_BOOL_WORDS))
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError("expected one of " + "/".join(kind))
+            return value
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
-def _parse_domain(spec: str) -> DiscreteDomain:
+def _parse_domain(spec: str | None) -> DiscreteDomain:
+    if spec is None:
+        raise ConfigError("a domain is required (--domain or config key 'domain')")
     parts = spec.split(":")
     try:
         if parts[0] == "interval" and len(parts) == 3:
@@ -228,85 +248,35 @@ def _parse_domain(spec: str) -> DiscreteDomain:
     )
 
 
-def _require_domain(args, filecfg) -> DiscreteDomain:
-    spec = _get(args, filecfg, "domain", "str")
-    if spec is None:
-        raise ConfigError("a domain is required (--domain or config key 'domain')")
-    return _parse_domain(spec)
+def _build_config(args) -> SolveConfig:
+    fields = {"modes": "K", "seed": "rng_seed"}  # where option and field names differ
+    values = {fields.get(key, key): getattr(args, key, None) for key in ("p",) + _SOLVER}
+    return SolveConfig(**{field: v for field, v in values.items() if v is not None})
 
 
-def _build_config(args, filecfg) -> SolveConfig:
-    kwargs = {}
-    for key, kind, field in (
-        ("p", "float", "p"),
-        ("modes", "int", "K"),
-        ("max_iter", "int", "max_iter"),
-        ("tol_residual", "float", "tol_residual"),
-        ("seed", "int", "rng_seed"),
-        ("init_perturbation", "float", "init_perturbation"),
-        ("allow_near_critical", "bool", "allow_near_critical"),
-    ):
-        value = _get(args, filecfg, key, kind)
-        if value is not None:
-            kwargs[field] = value
-    return SolveConfig(**kwargs)
-
-
-def _resolved_format(args, filecfg) -> str:
-    return _get(args, filecfg, "format", "str", _DEFAULT_FORMAT[args.command])
-
-
-def _resolved_output(args, filecfg):
-    return _get(args, filecfg, "output", "str", "-")
-
-
-def _input_fn(basis, args, filecfg) -> SpectralFn:
-    coeffs = _get(args, filecfg, "coeffs", "str")
-    mode = _get(args, filecfg, "mode", "int")
-    if coeffs is not None and mode is not None:
+def _input_fn(basis, args) -> SpectralFn:
+    if args.coeffs is not None and args.mode is not None:
         raise ConfigError("give either --coeffs or --mode, not both")
     b = np.zeros(basis.K)
-    if coeffs is not None:
+    if args.coeffs is not None:
         try:
-            vals = [float(t) for t in coeffs.split(",") if t.strip()]
+            vals = [float(t) for t in args.coeffs.split(",") if t.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --coeffs list: {exc}") from exc
         if len(vals) > basis.K:
             raise ConfigError(f"got {len(vals)} coefficients for {basis.K} modes")
         b[: len(vals)] = vals
     else:
-        m = 1 if mode is None else mode
+        m = 1 if args.mode is None else args.mode
         if not 1 <= m <= basis.K:
             raise ConfigError(f"mode {m} out of range 1..{basis.K}")
         b[m - 1] = 1.0
     return SpectralFn(basis, b)
 
 
-def _domain_dict(domain: DiscreteDomain) -> dict:
-    return {
-        "kind": domain.kind,
-        "lengths": list(domain.lengths),
-        "grid_counts": list(domain.grid_counts),
-    }
-
-
 def _report_dict(report: SolveReport, with_coeffs: bool = True) -> dict:
-    out = {
-        "p": report.p,
-        "K": report.K,
-        "I0": report.I0,
-        "residual_inf": report.residual_inf,
-        "equation_defect": report.equation_defect,
-        "sup_norm": report.sup_norm,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "symmetry_defect": report.symmetry_defect,
-        "positivity_min": report.positivity_min,
-        "tol_residual": report.tol_residual,
-        "rng_seed": report.rng_seed,
-        "domain": _domain_dict(report.domain),
-        "detail": report.detail,
-    }
+    out = {key: getattr(report, key) for key in _REPORT_KEYS}
+    out["domain"] = dataclasses.asdict(report.domain)
     if with_coeffs:
         out["solution_coeffs"] = (
             list(report.solution.coeffs) if report.solution is not None else None
@@ -314,134 +284,79 @@ def _report_dict(report: SolveReport, with_coeffs: bool = True) -> dict:
     return out
 
 
-def _check_dict(check) -> dict:
-    return {
-        "name": check.name,
-        "passed": check.passed,
-        "metric": check.metric,
-        "tolerance": check.tolerance,
-        "detail": check.detail,
+# Each _cmd_* returns (exit code, JSON document, CSV header, CSV rows); run
+# writes whichever form the format selects.
+
+
+def _cmd_eig(args, domain):
+    rows = list(enumerate(eigenpairs(domain, args.modes).lambdas, 1))
+    doc = {
+        "domain": dataclasses.asdict(domain),
+        "eigenvalues": [{"k": k, "lambda": lam} for k, lam in rows],
     }
+    return 0, doc, ["k", "lambda"], rows
 
 
-def _cmd_eig(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    basis = eigenpairs(domain, _get(args, filecfg, "modes", "int", 64))
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            rows = [
-                {"k": k + 1, "lambda": lam} for k, lam in enumerate(basis.lambdas)
-            ]
-            fh.write(_json_dumps({"domain": _domain_dict(domain), "eigenvalues": rows}))
-        else:
-            _write_csv(fh, ["k", "lambda"], ((k + 1, lam) for k, lam in enumerate(basis.lambdas)))
-    return 0
-
-
-def _cmd_apply(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    basis = eigenpairs(domain, _get(args, filecfg, "modes", "int", 64))
-    op = _get(args, filecfg, "op", "str")
-    if op not in _OPS:
+def _cmd_apply(args, domain):
+    basis = eigenpairs(domain, args.modes)
+    if args.op is None:
         raise ConfigError(f"--op must be one of {', '.join(sorted(_OPS))}")
-    result = _OPS[op](_input_fn(basis, args, filecfg))
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            fh.write(_json_dumps({"op": op, "coeffs": list(result.coeffs)}))
-        else:
-            _write_csv(fh, ["k", "coeff"], ((k + 1, c) for k, c in enumerate(result.coeffs)))
-    return 0
+    coeffs = list(_OPS[args.op](_input_fn(basis, args)).coeffs)
+    return 0, {"op": args.op, "coeffs": coeffs}, ["k", "coeff"], enumerate(coeffs, 1)
 
 
-def _cmd_solve(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    cfg = _build_config(args, filecfg)
+def _cmd_solve(args, domain):
+    cfg = _build_config(args)
     report = solve(domain, cfg.p, cfg)
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            fh.write(_json_dumps(_report_dict(report)))
-        else:
-            header = [
-                "p", "I0", "residual_inf", "equation_defect",
-                "sup_norm", "symmetry_defect", "positivity_min", "iterations", "converged",
-            ]
-            row = [
-                report.p, report.I0, report.residual_inf,
-                report.equation_defect, report.sup_norm, report.symmetry_defect,
-                report.positivity_min, report.iterations, report.converged,
-            ]
-            _write_csv(fh, header, [row])
-    return 0 if report.converged else 1
+    header = [
+        "p", "I0", "residual_inf", "equation_defect",
+        "sup_norm", "symmetry_defect", "positivity_min", "iterations", "converged",
+    ]
+    row = [getattr(report, key) for key in header]
+    return 0 if report.converged else 1, _report_dict(report), header, [row]
 
 
-def _cmd_sweep(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    raw = _get(args, filecfg, "p_list", "str")
-    if raw is None:
-        raise ConfigError("sweep requires --p-list, a comma-separated list of exponents")
+def _cmd_sweep(args, domain):
     try:
-        exponents = [float(t) for t in raw.split(",") if t.strip()]
+        exponents = [float(t) for t in (args.p_list or "").split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --p-list: {exc}") from exc
-    cfg = _build_config(args, filecfg)
-    reports = sweep(domain, exponents, cfg)
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            fh.write(_json_dumps({"rows": [_report_dict(r, with_coeffs=False) for r in reports]}))
-        else:
-            _write_csv(
-                fh,
-                ["p", "sup_norm", "residual", "converged"],
-                ((r.p, r.sup_norm, r.residual_inf, r.converged) for r in reports),
-            )
-    return 0 if all(r.converged for r in reports) else 1
+    if not exponents:
+        raise ConfigError("sweep requires --p-list, a comma-separated list of exponents")
+    reports = sweep(domain, exponents, _build_config(args))
+    code = 0 if all(r.converged for r in reports) else 1
+    doc = {"rows": [_report_dict(r, with_coeffs=False) for r in reports]}
+    rows = ((r.p, r.sup_norm, r.residual_inf, r.converged) for r in reports)
+    return code, doc, ["p", "sup_norm", "residual", "converged"], rows
 
 
-def _cmd_extend(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    basis = eigenpairs(domain, _get(args, filecfg, "modes", "int", 64))
-    y = _get(args, filecfg, "y", "float")
-    if y is None:
+def _cmd_extend(args, domain):
+    basis = eigenpairs(domain, args.modes)
+    if args.y is None:
         raise ConfigError("extend requires --y, the evaluation height")
-    slice_fn = evaluate_extension(_input_fn(basis, args, filecfg), y)
-    out = _resolved_output(args, filecfg)
-    if _resolved_format(args, filecfg) == "json":
-        coords = domain.node_coords()
-        with _open_output(out) as fh:
-            fh.write(
-                _json_dumps(
-                    {
-                        "y": y,
-                        "columns": (["x"] if domain.n == 1 else ["x1", "x2"]) + ["u"],
-                        "rows": [list(c) + [v] for c, v in zip(coords, slice_fn.values)],
-                    }
-                )
-            )
-    else:
-        emit_plot_data(slice_fn, out)
-    return 0
+    header, rows = _plot_table(evaluate_extension(_input_fn(basis, args), args.y))
+    return 0, {"y": args.y, "columns": header, "rows": rows}, header, rows
 
 
-def _cmd_check(args, filecfg) -> int:
-    domain = _require_domain(args, filecfg)
-    cfg = _build_config(args, filecfg)
-    mp_samples = _get(args, filecfg, "mp_samples", "int", 10)
-    if mp_samples < 1:
-        raise ConfigError(f"mp_samples must be at least 1, got {mp_samples}")
-    c_minus = _get(args, filecfg, "c_minus", "float", 0.0)
+def _cmd_check(args, domain):
+    cfg = _build_config(args)
+    if args.mp_samples < 1:
+        raise ConfigError(f"mp_samples must be at least 1, got {args.mp_samples}")
     report = solve(domain, cfg.p, cfg)
     checks = []
     if report.solution is not None:
         basis = report.solution.basis
         worst = None
-        for i in range(mp_samples):
+        for i in range(args.mp_samples):
             rng = np.random.default_rng([cfg.rng_seed, i])
             g = GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes))
             sample = check_weak_mp(domain, basis, g)
             if worst is None or sample.metric + sample.tolerance < worst.metric + worst.tolerance:
                 worst = sample
         checks.append(
-            dataclasses.replace(worst, detail=f"worst of {mp_samples} seeded nonnegative sources")
+            dataclasses.replace(
+                worst, detail=f"worst of {args.mp_samples} seeded nonnegative sources"
+            )
         )
         u = report.solution_grid
         checks.append(check_positivity(u))
@@ -450,74 +365,43 @@ def _cmd_check(args, filecfg) -> int:
         for axis in range(domain.n):
             checks.append(check_monotonicity(u, axis))
         checks.append(check_hopf(u))
-    checks.append(stability_margin(domain, c_minus))
+    checks.append(stability_margin(domain, args.c_minus))
     all_passed = report.converged and all(c.passed for c in checks)
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            fh.write(
-                _json_dumps(
-                    {
-                        "all_passed": all_passed,
-                        "converged": report.converged,
-                        "checks": [_check_dict(c) for c in checks],
-                        "solve": _report_dict(report, with_coeffs=False),
-                    }
-                )
-            )
-        else:
-            _write_csv(
-                fh,
-                ["name", "passed", "metric", "tolerance"],
-                ((c.name, c.passed, c.metric, c.tolerance) for c in checks),
-            )
-    return 0 if all_passed else 1
+    doc = {
+        "all_passed": all_passed,
+        "converged": report.converged,
+        "checks": [dataclasses.asdict(c) for c in checks],
+        "solve": _report_dict(report, with_coeffs=False),
+    }
+    rows = ((c.name, c.passed, c.metric, c.tolerance) for c in checks)
+    return 0 if all_passed else 1, doc, ["name", "passed", "metric", "tolerance"], rows
 
 
-def _cmd_trace_constant(args, filecfg) -> int:
-    n = _get(args, filecfg, "n", "int")
-    if n is None:
+def _cmd_trace_constant(args, domain):
+    if args.n is None:
         raise ConfigError("trace-constant requires --n")
-    value = best_trace_constant(n)
-    with _open_output(_resolved_output(args, filecfg)) as fh:
-        if _resolved_format(args, filecfg) == "json":
-            fh.write(_json_dumps({"n": n, "value": value}))
-        else:
-            _write_csv(fh, ["n", "value"], [(n, value)])
-    return 0
+    value = best_trace_constant(args.n)
+    return 0, {"n": args.n, "value": value}, ["n", "value"], [(args.n, value)]
 
 
-_DISPATCH = {
-    "eig": _cmd_eig,
-    "apply": _cmd_apply,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "extend": _cmd_extend,
-    "check": _cmd_check,
-    "trace-constant": _cmd_trace_constant,
+# subcommand -> (handler, default format, help, option keys after _COMMON)
+_COMMANDS = {
+    "eig": (_cmd_eig, "csv", "list eigenvalues of the domain", ("modes",)),
+    "apply": (
+        _cmd_apply, "csv", "apply a diagonal spectral operator", ("modes", "op", "coeffs", "mode")
+    ),
+    "solve": (_cmd_solve, "json", "solve the power problem", ("p",) + _SOLVER),
+    "sweep": (_cmd_sweep, "csv", "solve across a list of exponents", ("p_list",) + _SOLVER),
+    "extend": (
+        _cmd_extend, "csv", "evaluate the harmonic extension at a height",
+        ("modes", "coeffs", "mode", "y"),
+    ),
+    "check": (
+        _cmd_check, "json", "solve and run the full check battery",
+        ("p",) + _SOLVER + ("mp_samples", "c_minus"),
+    ),
+    "trace-constant": (_cmd_trace_constant, "json", "sharp trace inequality constant", ("n",)),
 }
-
-
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="config file: key=value lines or a JSON object")
-    sp.add_argument("--output", help="output path, '-' for stdout (default)")
-    sp.add_argument("--format", choices=("csv", "json"), help="report format")
-    sp.add_argument("--domain", help="interval:L:N or rectangle:L1:L2:N1:N2")
-
-
-def _add_solver(sp, with_p: bool = True) -> None:
-    if with_p:
-        sp.add_argument("--p", type=float, help="nonlinearity exponent")
-    sp.add_argument("--modes", type=int, help="number of eigenmodes K")
-    sp.add_argument("--max-iter", type=int, help="fixed-point iteration cap")
-    sp.add_argument("--tol-residual", type=float, help="convergence tolerance on the residual")
-    sp.add_argument("--seed", type=int, help="seed for randomized initialization")
-    sp.add_argument("--init-perturbation", type=float, help="random perturbation amplitude")
-    sp.add_argument(
-        "--allow-near-critical",
-        action="store_const",
-        const=True,
-        help="permit exponents within 5%% of the critical one (diagnostic runs)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -526,44 +410,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral square-root Dirichlet Laplacian toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eig", help="list eigenvalues of the domain")
-    _add_common(sp)
-    sp.add_argument("--modes", type=int, help="number of eigenmodes K")
-
-    sp = sub.add_parser("apply", help="apply a diagonal spectral operator")
-    _add_common(sp)
-    sp.add_argument("--modes", type=int, help="number of eigenmodes K")
-    sp.add_argument("--op", choices=sorted(_OPS), help="operator to apply")
-    sp.add_argument("--coeffs", help="comma-separated input coefficients")
-    sp.add_argument("--mode", type=int, help="input is the unit coefficient on this mode")
-
-    sp = sub.add_parser("solve", help="solve the power problem")
-    _add_common(sp)
-    _add_solver(sp)
-
-    sp = sub.add_parser("sweep", help="solve across a list of exponents")
-    _add_common(sp)
-    sp.add_argument("--p-list", help="comma-separated exponents")
-    _add_solver(sp, with_p=False)
-
-    sp = sub.add_parser("extend", help="evaluate the harmonic extension at a height")
-    _add_common(sp)
-    sp.add_argument("--modes", type=int, help="number of eigenmodes K")
-    sp.add_argument("--coeffs", help="comma-separated input coefficients")
-    sp.add_argument("--mode", type=int, help="input is the unit coefficient on this mode")
-    sp.add_argument("--y", type=float, help="evaluation height, y >= 0")
-
-    sp = sub.add_parser("check", help="solve and run the full check battery")
-    _add_common(sp)
-    _add_solver(sp)
-    sp.add_argument("--mp-samples", type=int, help="random sources for the weak maximum principle")
-    sp.add_argument("--c-minus", type=float, help="negative-part bound for the stability margin")
-
-    sp = sub.add_parser("trace-constant", help="sharp trace inequality constant")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, help="space dimension, n >= 2")
-
+    for name, (_, _, text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for key in _COMMON + keys:
+            kind, help_text = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                sp.add_argument(flag, action="store_const", const=True, help=help_text)
+            elif isinstance(kind, tuple):
+                sp.add_argument(flag, choices=kind, help=help_text)
+            else:
+                sp.add_argument(flag, type=kind, help=help_text)
     return parser
 
 
@@ -574,10 +431,24 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    handler, default_format = _COMMANDS[args.command][:2]
     try:
         known = set(vars(args)) - {"command"}
         filecfg = _load_config(args.config, known) if args.config else {}
-        return _DISPATCH[args.command](args, filecfg)
+        for key, value in filecfg.items():
+            if value is not None and getattr(args, key) is None:
+                setattr(args, key, _cast(key, value))
+        for key, value in _DEFAULTS.items():
+            if key in known and getattr(args, key) is None:
+                setattr(args, key, value)
+        domain = None if args.command == "trace-constant" else _parse_domain(args.domain)
+        code, doc, header, rows = handler(args, domain)
+        with _open_output(args.output) as fh:
+            if (args.format or default_format) == "json":
+                fh.write(_json_dumps(doc))
+            else:
+                _write_csv(fh, header, rows)
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

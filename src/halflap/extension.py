@@ -31,16 +31,6 @@ def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
     return GridFn(f.basis.domain, (f.coeffs * decay) @ f.basis.matrix)
 
 
-@dataclass(frozen=True)
-class ExtensionField:
-    """Harmonic extension of a trace function, evaluated lazily by height."""
-
-    trace: SpectralFn
-
-    def at_height(self, y: float) -> GridFn:
-        return evaluate_extension(self.trace, y)
-
-
 def dirichlet_energy(f: SpectralFn) -> float:
     """Dirichlet energy of the harmonic extension: sum b_k^2 sqrt(lambda_k)."""
     return v0_norm_sq(f)

@@ -85,6 +85,13 @@ class SolveConfig:
             raise ConfigError("tol_residual must be positive")
         if self.init_perturbation < 0:
             raise ConfigError("init_perturbation must be nonnegative")
+        for name in ("tol_residual", "init_perturbation"):
+            # an infinite tolerance passes every iterate; a nonfinite amplitude
+            # is silently dropped (nan) or poisons the start (inf)
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

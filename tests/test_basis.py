@@ -102,6 +102,29 @@ def test_rectangle_eigenvalues_positive_and_sorted(L1, L2, K):
     assert np.all(np.diff(basis.lambdas) >= 0)
 
 
+@pytest.mark.parametrize("dims, K", [((1.0, 1.0, 24, 24), 23), ((2.0, 1.0, 32, 16), 15)])
+def test_rectangle_mode_order_matches_brute_force(dims, K):
+    # ascending eigenvalue, ties (j <-> k on the square) broken by j, then k
+    L1, L2, N1, N2 = dims
+    brute = sorted(
+        ((j * math.pi / L1) ** 2 + (k * math.pi / L2) ** 2, j, k)
+        for j in range(1, N1)
+        for k in range(1, N2)
+    )[:K]
+    basis = eigenpairs(make_rectangle(*dims), K)
+    assert basis.mode_indices == tuple((j, k) for _, j, k in brute)
+    np.testing.assert_allclose(basis.lambdas, [lam for lam, _, _ in brute], rtol=1e-15)
+    if L1 == L2:
+        assert len(set(basis.lambdas.tolist())) < K  # the case has ties to break
+
+
+def test_basis_arrays_are_read_only():
+    basis = eigenpairs(make_rectangle(1.0, 1.0, 16, 16), 8)
+    for arr in (basis.lambdas, basis.sqrt_lambdas, basis.matrix):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 @given(L=lengths, K=st.integers(min_value=1, max_value=7))
 @settings(max_examples=25, deadline=None)
 def test_eigenvalues_grid_independent(L, K):

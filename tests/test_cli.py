@@ -320,3 +320,80 @@ def test_line_endings_are_lf(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def test_config_values_obey_flag_choices(tmp_path, capsys):
+    base = "domain = interval:1:64\np = 2\nmodes = 16\n"
+    cfg = tmp_path / "run.cfg"
+    for value in ("xml", "JSON"):
+        cfg.write_text(base + f"format = {value}\n")
+        code, out = run_capture(["solve", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+    jcfg = tmp_path / "run.json"
+    jcfg.write_text(json.dumps({"domain": "interval:1:64", "p": 2, "modes": 16, "format": "xml"}))
+    assert run(["solve", "--config", str(jcfg)]) == 2
+    assert "bad value for format" in capsys.readouterr().err
+    cfg.write_text("domain = interval:1:64\nmodes = 4\nop = square-root\nmode = 1\n")
+    assert run(["apply", "--config", str(cfg)]) == 2
+    assert "bad value for op" in capsys.readouterr().err
+
+
+def test_sweep_requires_an_exponent(tmp_path, capsys):
+    code, out = run_capture(["sweep", "--domain", "interval:1:64", "--p-list", ","], capsys)
+    assert (code, out) == (2, "")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain = interval:1:64\nmodes = 16\np_list = ,\n")
+    code, out = run_capture(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tol-residual", "inf", "tol_residual"),
+        ("--init-perturbation", "nan", "init_perturbation"),
+        ("--init-perturbation", "inf", "init_perturbation"),
+        ("--seed", "-1", "rng_seed"),
+    ],
+)
+def test_nonfinite_or_negative_solver_settings_exit_2(flag, value, field, capsys):
+    for command in ("solve", "check"):
+        code = run([command, "--domain", "interval:1:64", "--p", "2", "--modes", "16",
+                    flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert field in captured.err
+
+
+# Reports of commands whose numbers are elementwise arithmetic and sqrt only
+# (no matrix product, no sin), so their bytes do not depend on BLAS or libm.
+FROZEN_REPORTS = {
+    ("eig --domain interval:1:64 --modes 4", "csv"):
+        b"k,lambda\n1,9.869604401089358\n2,39.478417604357432\n3,88.826439609804225\n"
+        b"4,157.91367041742973\n",
+    ("eig --domain interval:1:64 --modes 4", "json"):
+        b'{"domain":{"grid_counts":[64],"kind":"interval","lengths":[1]},"eigenvalues":'
+        b'[{"k":1,"lambda":9.869604401089358},{"k":2,"lambda":39.478417604357432},'
+        b'{"k":3,"lambda":88.826439609804225},{"k":4,"lambda":157.91367041742973}]}\n',
+    ("eig --domain rectangle:1:1:32:32 --modes 6", "csv"):
+        b"k,lambda\n1,19.739208802178716\n2,49.348022005446794\n3,49.348022005446794\n"
+        b"4,78.956835208714864\n5,98.696044010893587\n6,98.696044010893587\n",
+    ("eig --domain rectangle:1:1:32:32 --modes 6", "json"):
+        b'{"domain":{"grid_counts":[32,32],"kind":"rectangle","lengths":[1,1]},"eigenvalues":'
+        b'[{"k":1,"lambda":19.739208802178716},{"k":2,"lambda":49.348022005446794},'
+        b'{"k":3,"lambda":49.348022005446794},{"k":4,"lambda":78.956835208714864},'
+        b'{"k":5,"lambda":98.696044010893587},{"k":6,"lambda":98.696044010893587}]}\n',
+    ("apply --domain interval:1:64 --modes 4 --op b-half --coeffs 1,-0.5,0.25", "csv"):
+        b"k,coeff\n1,0.31830988618379069\n2,-0.079577471545947673\n3,0.026525823848649224\n"
+        b"4,0\n",
+    ("apply --domain interval:1:64 --modes 4 --op b-half --coeffs 1,-0.5,0.25", "json"):
+        b'{"coeffs":[0.31830988618379069,-0.079577471545947673,0.026525823848649224,0],'
+        b'"op":"b-half"}\n',
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(FROZEN_REPORTS))
+def test_report_bytes_are_frozen(command, fmt, tmp_path):
+    path = tmp_path / f"report.{fmt}"
+    assert run(command.split() + ["--format", fmt, "--output", str(path)]) == 0
+    assert path.read_bytes() == FROZEN_REPORTS[command, fmt]

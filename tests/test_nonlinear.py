@@ -76,6 +76,27 @@ def test_config_validation():
         SolveConfig(p=2.0, K=16, tol_residual=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol_residual", math.inf),
+        ("tol_residual", math.nan),
+        ("init_perturbation", math.inf),
+        ("init_perturbation", math.nan),
+        ("init_perturbation", -0.1),
+        ("rng_seed", -1),
+    ],
+)
+def test_config_rejects_nonfinite_and_negative_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SolveConfig(p=2.0, K=16, **{field: value})
+
+
+def test_config_accepts_boundary_settings():
+    cfg = SolveConfig(p=2.0, K=16, tol_residual=1e300, init_perturbation=0.0, rng_seed=0)
+    assert cfg.rng_seed == 0
+
+
 def test_explicit_exponent_must_agree_with_config():
     with pytest.raises(ConfigError):
         solve(UNIT_INTERVAL, 2.5, cfg_1d())
