@@ -84,11 +84,6 @@ _SOLVER = (
 # used when neither the flag nor the config file sets the option
 _DEFAULTS = {"modes": 64, "mp_samples": 10, "c_minus": 0.0}
 
-_REPORT_KEYS = (
-    "p", "K", "I0", "residual_inf", "equation_defect", "sup_norm", "iterations",
-    "converged", "symmetry_defect", "positivity_min", "tol_residual", "rng_seed", "detail",
-)
-
 
 def _json_write(obj, out: list) -> None:
     if obj is None:
@@ -275,7 +270,11 @@ def _input_fn(basis, args) -> SpectralFn:
 
 
 def _report_dict(report: SolveReport, with_coeffs: bool = True) -> dict:
-    out = {key: getattr(report, key) for key in _REPORT_KEYS}
+    out = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in ("solution", "solution_grid")
+    }
     out["domain"] = dataclasses.asdict(report.domain)
     if with_coeffs:
         out["solution_coeffs"] = (
@@ -346,13 +345,12 @@ def _cmd_check(args, domain):
     checks = []
     if report.solution is not None:
         basis = report.solution.basis
-        worst = None
+        samples = []
         for i in range(args.mp_samples):
             rng = np.random.default_rng([cfg.rng_seed, i])
             g = GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes))
-            sample = check_weak_mp(domain, basis, g)
-            if worst is None or sample.metric + sample.tolerance < worst.metric + worst.tolerance:
-                worst = sample
+            samples.append(check_weak_mp(domain, basis, g))
+        worst = min(samples, key=lambda c: c.metric + c.tolerance)
         checks.append(
             dataclasses.replace(
                 worst, detail=f"worst of {args.mp_samples} seeded nonnegative sources"

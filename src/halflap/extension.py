@@ -64,11 +64,10 @@ def best_trace_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class ExtremalProfile:
-    """Bubble profile epsilon^((n-1)/2) / |(x - x0, y + epsilon)|^(n-1)."""
+    """Bubble profile epsilon^((n-1)/2) / |(x, y + epsilon)|^(n-1)."""
 
     n: int
     epsilon: float
-    x0: tuple[float, ...] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.n < 2:
@@ -105,7 +104,7 @@ def extremal_quotient(profile: ExtremalProfile, R: float, M: int) -> float:
     if R <= eps:
         raise TruncationError(f"truncation radius R = {R} must exceed epsilon = {eps}")
     rho = _stretched_nodes(eps, R, M)
-    ys = _stretched_nodes(eps, R, M)
+    ys = rho
     # |grad U|^2 = eps / (rho^2 + (y + eps)^2)^2 with area element 2 pi rho
     num_rows = np.empty(ys.size)
     chunk = 256

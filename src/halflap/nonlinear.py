@@ -28,7 +28,8 @@ from .basis import (
     GridFn,
     eigenpairs,
 )
-from .spectral import SpectralFn, synthesize
+from .spectral import SpectralFn
+from .verification import check_symmetry
 
 # p close to 1 degenerates the rescaling exponent 1/(p-1)
 MIN_EXPONENT = 1.1
@@ -85,16 +86,18 @@ class SolveConfig:
             raise ConfigError("tol_residual must be positive")
         if self.init_perturbation < 0:
             raise ConfigError("init_perturbation must be nonnegative")
-        for name in ("tol_residual", "init_perturbation"):
-            # an infinite tolerance passes every iterate; a nonfinite amplitude
-            # is silently dropped (nan) or poisons the start (inf)
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("p", "tol_residual", "init_perturbation"):
+            # an infinite exponent overflows the first power; an infinite
+            # tolerance passes every iterate; a nonfinite amplitude is silently
+            # dropped (nan) or poisons the start (inf)
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolveReport:
     """Outcome of one nonlinear solve.
 
@@ -103,19 +106,20 @@ class SolveReport:
     unprojected defect against the pointwise power, which is limited by
     spectral truncation and decreases as K and N grow. iterations counts
     fixed-point steps; when the solve did not converge, detail names the stop
-    that fired.
+    that fired. The defaults are the values of a solve that produced no
+    solution.
     """
 
-    solution: SpectralFn | None
-    solution_grid: GridFn | None
-    I0: float
-    residual_inf: float
-    equation_defect: float
-    sup_norm: float
-    iterations: int
-    converged: bool
-    symmetry_defect: float
-    positivity_min: float
+    solution: SpectralFn | None = None
+    solution_grid: GridFn | None = None
+    I0: float = math.nan
+    residual_inf: float = math.inf
+    equation_defect: float = math.inf
+    sup_norm: float = math.nan
+    iterations: int = 0
+    converged: bool = False
+    symmetry_defect: float = math.nan
+    positivity_min: float = math.nan
     p: float
     K: int
     tol_residual: float
@@ -134,8 +138,6 @@ def _resolve_p(p: float | None, cfg: SolveConfig) -> float:
 
 
 def _validate_exponent(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> None:
-    if not p >= MIN_EXPONENT:
-        raise ConfigError(f"p = {p} is below the floor {MIN_EXPONENT}")
     pc = critical_exponent(domain.n)
     if math.isfinite(pc):
         if p >= pc:
@@ -171,27 +173,33 @@ def rescale_to_solution(w: SpectralFn, I0: float, p: float) -> SpectralFn:
     return SpectralFn(w.basis, t * w.coeffs)
 
 
-def _sign_gate(values: np.ndarray) -> float:
-    """Return sup|values|, raising if negative values exceed the tolerated floor."""
-    sup = float(np.max(np.abs(values))) if values.size else 0.0
+def _sign_gate(values: np.ndarray) -> None:
+    """Raise if negative values exceed the tolerated floor."""
+    sup = float(np.max(np.abs(values)))
     if sup > 0.0 and float(values.min()) < -1e-10 * sup:
         raise SignViolationError(
             f"grid minimum {values.min():.3e} is negative beyond -1e-10 * sup = {-1e-10 * sup:.3e}"
         )
-    return sup
 
 
-def _defects(basis: EigenBasis, u_coeffs: np.ndarray, p: float) -> tuple[float, float]:
-    """Unprojected and mode-projected sup-norm defects of A_half u = u^p."""
+def _evaluate(basis: EigenBasis, u: np.ndarray, p: float):
+    """Grid values of the coefficients u, the clipped power u^p on the grid,
+    its mode projection, and the projected residual sup |A_half u - projection|.
+
+    The fixed-point loop and both residual functions measure through this one
+    expression, so a solve reports exactly the residual its iteration measured.
+    """
     Phi = basis.matrix
-    wq = basis.domain.weight
-    s = basis.sqrt_lambdas
-    power = np.maximum(u_coeffs @ Phi, 0.0) ** p
-    raw = float(np.max(np.abs((u_coeffs * s) @ Phi - power)))
-    # the same expression as the residual in _fixed_point, so a solve reports
-    # exactly the residual its iteration measured
-    projected = float(np.max(np.abs((u_coeffs * s - Phi @ power * wq) @ Phi)))
-    return raw, projected
+    grid = u @ Phi
+    power = np.maximum(grid, 0.0) ** p
+    projection = Phi @ power * basis.domain.weight
+    res = float(np.max(np.abs((u * basis.sqrt_lambdas - projection) @ Phi)))
+    return grid, power, projection, res
+
+
+def _equation_defect(basis: EigenBasis, u: np.ndarray, power: np.ndarray) -> float:
+    """Unprojected sup-norm defect of A_half u = u^p at the nodes."""
+    return float(np.max(np.abs((u * basis.sqrt_lambdas) @ basis.matrix - power)))
 
 
 def residual(u: SpectralFn, p: float) -> float:
@@ -200,56 +208,32 @@ def residual(u: SpectralFn, p: float) -> float:
     The power is taken on values clipped to nonnegative; values negative
     beyond -1e-10 times the sup norm raise SignViolationError.
     """
-    _sign_gate(synthesize(u).values)
-    raw, _ = _defects(u.basis, u.coeffs, p)
-    return raw
+    grid, power, _, _ = _evaluate(u.basis, u.coeffs, p)
+    _sign_gate(grid)
+    return _equation_defect(u.basis, u.coeffs, power)
 
 
 def galerkin_residual(u: SpectralFn, p: float) -> float:
     """Sup-norm defect of the discrete system: A_half u minus the mode projection of u^p."""
-    _sign_gate(synthesize(u).values)
-    _, projected = _defects(u.basis, u.coeffs, p)
-    return projected
+    grid, _, _, res = _evaluate(u.basis, u.coeffs, p)
+    _sign_gate(grid)
+    return res
 
 
-def _symmetry_defect(domain: DiscreteDomain, values: np.ndarray) -> float:
-    arr = values.reshape(domain.shape)
-    worst = 0.0
-    for axis in range(domain.n):
-        worst = max(worst, float(np.max(np.abs(arr - np.flip(arr, axis=axis)))))
-    return worst
-
-
-def _diverged_report(
-    domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str
-) -> SolveReport:
-    nan = float("nan")
+def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
     return SolveReport(
-        solution=None,
-        solution_grid=None,
-        I0=nan,
-        residual_inf=math.inf,
-        equation_defect=math.inf,
-        sup_norm=nan,
-        iterations=0,
-        converged=False,
-        symmetry_defect=nan,
-        positivity_min=nan,
-        p=p,
-        K=cfg.K,
-        tol_residual=cfg.tol_residual,
-        rng_seed=cfg.rng_seed,
-        domain=domain,
-        detail=detail,
+        p=p, K=cfg.K, tol_residual=cfg.tol_residual, rng_seed=cfg.rng_seed,
+        domain=domain, detail=detail,
     )
 
 
 def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     """Normalized fixed-point iteration from the (perturbed) ground mode.
 
-    Returns (I0, u coefficients, steps, stop) for the iterate with the smallest
-    projected residual; stop is "" when the target was met, else the reason the
-    iteration ended. A nonfinite iterate returns None coefficients.
+    Returns (best, steps, stop). best is (I0, u coefficients, grid values,
+    clipped power, projected residual) of the iterate with the smallest
+    projected residual, or None after a nonfinite iterate; stop is "" when the
+    target was met, else the reason the iteration ended.
     """
     Phi = basis.matrix
     s = basis.sqrt_lambdas
@@ -262,52 +246,53 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     w /= _constraint_scale(w, wq, p)
     b = Phi @ w * wq
     target = max(cfg.tol_residual * 1e-2, 1e-14)
-    best_res, best_I0, best_u, best_step = math.inf, math.nan, None, 0
+    best, best_res, best_step = None, math.inf, 0
     step = 0
     while True:
         I0 = float(np.sum(b * b * s))
         ub = I0 ** (1.0 / (p - 1.0)) * b
-        Pb = Phi @ (np.maximum(ub @ Phi, 0.0) ** p) * wq
-        res = float(np.max(np.abs((ub * s - Pb) @ Phi)))
+        grid, power, Pb, res = _evaluate(basis, ub, p)
         if res < best_res:
-            best_res, best_I0, best_u, best_step = res, I0, ub, step
+            best, best_res, best_step = (I0, ub, grid, power, res), res, step
         if best_res <= target:
-            return best_I0, best_u, step, ""
+            return best, step, ""
         if step == cfg.max_iter:
-            return best_I0, best_u, step, f"iteration cap max_iter = {cfg.max_iter} reached"
+            return best, step, f"iteration cap max_iter = {cfg.max_iter} reached"
         if step - best_step >= STALL_STEPS:
-            return best_I0, best_u, step, f"no new best residual in {STALL_STEPS} steps"
+            return best, step, f"no new best residual in {STALL_STEPS} steps"
         z = Pb / s
         scale = _constraint_scale(z @ Phi, wq, p)
         if not 0.0 < scale < math.inf:
-            return math.nan, None, step, "fixed-point iteration produced a nonfinite iterate"
+            return None, step, "fixed-point iteration produced a nonfinite iterate"
         b = z / scale
         step += 1
 
 
 def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveReport:
     """Full pipeline: validate, build the basis, iterate to the fixed point, report."""
-    p = _resolve_p(p, cfg)
+    # replace reruns SolveConfig's checks on the effective exponent
+    cfg = replace(cfg, p=_resolve_p(p, cfg))
+    p = cfg.p
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
-    I0, u_coeffs, steps, stop = _fixed_point(basis, p, cfg)
-    if u_coeffs is None:
+    best, steps, stop = _fixed_point(basis, p, cfg)
+    if best is None:
         return _diverged_report(domain, p, cfg, stop)
-    raw, projected = _defects(basis, u_coeffs, p)
-    u_grid = u_coeffs @ basis.matrix
+    I0, u_coeffs, grid, power, projected = best
+    u_grid = GridFn(domain, grid)
     converged = bool(projected <= cfg.tol_residual)
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
-        solution_grid=GridFn(domain, u_grid),
+        solution_grid=u_grid,
         I0=I0,
         residual_inf=projected,
-        equation_defect=raw,
-        sup_norm=float(np.max(np.abs(u_grid))),
+        equation_defect=_equation_defect(basis, u_coeffs, power),
+        sup_norm=float(np.max(np.abs(grid))),
         iterations=steps,
         converged=converged,
-        symmetry_defect=_symmetry_defect(domain, u_grid),
-        positivity_min=float(np.min(u_grid)),
+        symmetry_defect=max(check_symmetry(u_grid, axis).metric for axis in range(domain.n)),
+        positivity_min=float(np.min(grid)),
         p=p,
         K=cfg.K,
         tol_residual=cfg.tol_residual,

@@ -50,10 +50,10 @@ def check_weak_mp(domain: DiscreteDomain, basis: EigenBasis, g: GridFn) -> Check
     """
     if g.domain != domain or basis.domain != domain:
         raise ValueError("domain, basis, and g must agree")
-    if g.values.size and float(g.values.min()) < 0.0:
+    if float(g.values.min()) < 0.0:
         raise ValueError("check_weak_mp requires g >= 0 pointwise")
     u = synthesize(apply_B_half(analyze(g, basis)))
-    sup_g = float(np.max(g.values)) if g.values.size else 0.0
+    sup_g = float(np.max(g.values))
     tol = WEAK_MP_REL_TOL * sup_g
     metric = float(np.min(u.values))
     return CheckReport(
@@ -78,12 +78,12 @@ def check_positivity(u: GridFn) -> CheckReport:
     )
 
 
-def check_symmetry(u: GridFn, axis: int, rel_tol: float = SYMMETRY_REL_TOL) -> CheckReport:
-    """Reflection symmetry across the midline of one axis."""
+def check_symmetry(u: GridFn, axis: int) -> CheckReport:
+    """Reflection symmetry across the midline of one axis, to SYMMETRY_REL_TOL times sup |u|."""
     mirrored = reflect(u, axis)
-    metric = float(np.max(np.abs(u.values - mirrored.values))) if u.values.size else 0.0
-    sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    tol = rel_tol * sup
+    metric = float(np.max(np.abs(u.values - mirrored.values)))
+    sup = float(np.max(np.abs(u.values)))
+    tol = SYMMETRY_REL_TOL * sup
     return CheckReport(
         name=f"symmetry_axis{axis}",
         passed=bool(metric <= tol),
@@ -93,11 +93,12 @@ def check_symmetry(u: GridFn, axis: int, rel_tol: float = SYMMETRY_REL_TOL) -> C
     )
 
 
-def check_monotonicity(u: GridFn, axis: int, rel_tol: float = MONOTONE_REL_TOL) -> CheckReport:
+def check_monotonicity(u: GridFn, axis: int) -> CheckReport:
     """Strict decrease along the axis on the half strictly past the midline.
 
     Forward differences whose left node lies strictly past the midline must
-    all be at most rel_tol times sup |u|; the metric is the worst difference.
+    all be at most MONOTONE_REL_TOL times sup |u|; the metric is the worst
+    difference.
     """
     if not 0 <= axis < u.domain.n:
         raise ValueError(f"axis {axis} out of range for dimension {u.domain.n}")
@@ -107,9 +108,9 @@ def check_monotonicity(u: GridFn, axis: int, rel_tol: float = MONOTONE_REL_TOL) 
     # strictly past the midline means j + 1 > N/2, i.e. j >= N // 2
     start = u.domain.grid_counts[axis] // 2
     tail = np.take(diffs, np.arange(start, diffs.shape[axis]), axis=axis)
-    metric = float(np.max(tail)) if tail.size else 0.0
-    sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    tol = rel_tol * sup
+    metric = float(np.max(tail))
+    sup = float(np.max(np.abs(u.values)))
+    tol = MONOTONE_REL_TOL * sup
     return CheckReport(
         name=f"monotonicity_axis{axis}",
         passed=bool(metric <= tol),
@@ -119,11 +120,11 @@ def check_monotonicity(u: GridFn, axis: int, rel_tol: float = MONOTONE_REL_TOL) 
     )
 
 
-def check_hopf(u: GridFn, rel_floor: float = HOPF_REL_FLOOR) -> CheckReport:
+def check_hopf(u: GridFn) -> CheckReport:
     """Inward boundary growth: first-interior-node quotients u/h strictly positive.
 
     The smallest quotient over every boundary face must be positive and at
-    least rel_floor times sup |u| (a positive inward derivative is the discrete
+    least HOPF_REL_FLOOR times sup |u| (a positive inward derivative is the discrete
     face of a strictly negative outward normal derivative).
     """
     arr = u.reshaped()
@@ -134,8 +135,8 @@ def check_hopf(u: GridFn, rel_floor: float = HOPF_REL_FLOOR) -> CheckReport:
         low = np.take(arr, 0, axis=axis)
         high = np.take(arr, -1, axis=axis)
         metric = min(metric, float(np.min(low)) / h, float(np.min(high)) / h)
-    sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    tol = rel_floor * sup
+    sup = float(np.max(np.abs(u.values)))
+    tol = HOPF_REL_FLOOR * sup
     return CheckReport(
         name="hopf",
         passed=bool(metric > 0.0 and metric >= tol),
@@ -154,6 +155,8 @@ def stability_margin(domain: DiscreteDomain, c_minus_inf: float) -> CheckReport:
     """
     if c_minus_inf < 0:
         raise ValueError("c_minus_inf must be nonnegative")
+    if not math.isfinite(c_minus_inf):
+        raise ValueError(f"c_minus_inf must be finite, got {c_minus_inf}")
     lam1 = sum((math.pi / L) ** 2 for L in domain.lengths)
     metric = math.sqrt(lam1) - float(c_minus_inf)
     return CheckReport(

@@ -1,10 +1,18 @@
 """Shared pytest hooks.
 
 The acceptance module records one entry per criterion in its RESULTS list;
-the hook below prints them as a compact pass/fail table after the test run.
+the summary hook prints them as a compact pass/fail table after the test run.
 """
 
+import os
 import sys
+
+
+def pytest_configure(config):
+    # the CLI tests start `python -m halflap` in a subprocess; let it import the
+    # source tree that the pythonpath setting puts on the suite's own sys.path
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -354,6 +354,7 @@ def test_sweep_requires_an_exponent(tmp_path, capsys):
         ("--init-perturbation", "nan", "init_perturbation"),
         ("--init-perturbation", "inf", "init_perturbation"),
         ("--seed", "-1", "rng_seed"),
+        ("--p", "inf", "p"),
     ],
 )
 def test_nonfinite_or_negative_solver_settings_exit_2(flag, value, field, capsys):
@@ -363,6 +364,15 @@ def test_nonfinite_or_negative_solver_settings_exit_2(flag, value, field, capsys
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert field in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_c_minus_exits_2(value, capsys):
+    code = run(["check", "--domain", "interval:1:64", "--p", "2", "--modes", "16",
+                "--mp-samples", "1", "--c-minus", value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "c_minus_inf must be finite" in captured.err
 
 
 # Reports of commands whose numbers are elementwise arithmetic and sqrt only

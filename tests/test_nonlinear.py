@@ -11,6 +11,8 @@ from halflap import (
     SignViolationError,
     SolveConfig,
     SpectralFn,
+    check_positivity,
+    check_symmetry,
     critical_exponent,
     eigenpairs,
     galerkin_residual,
@@ -85,11 +87,13 @@ def test_config_validation():
         ("init_perturbation", math.nan),
         ("init_perturbation", -0.1),
         ("rng_seed", -1),
+        ("p", math.inf),
     ],
 )
 def test_config_rejects_nonfinite_and_negative_settings(field, value):
+    kwargs = {"p": 2.0, "K": 16, field: value}
     with pytest.raises(ConfigError, match=field):
-        SolveConfig(p=2.0, K=16, **{field: value})
+        SolveConfig(**kwargs)
 
 
 def test_config_accepts_boundary_settings():
@@ -178,6 +182,17 @@ def test_solve_1d_report_facts():
     assert rep.residual_inf <= rep.tol_residual
 
 
+@pytest.mark.parametrize("domain, K", [(UNIT_INTERVAL, 64), (UNIT_SQUARE, 60)])
+def test_report_is_what_the_loop_measured(domain, K):
+    # every defect field equals the public function measuring it, bit for bit
+    rep = solve(domain, 2.0, SolveConfig(p=2.0, K=K))
+    u = rep.solution_grid
+    assert rep.residual_inf == galerkin_residual(rep.solution, 2.0)
+    assert rep.equation_defect == residual(rep.solution, 2.0)
+    assert rep.symmetry_defect == max(check_symmetry(u, a).metric for a in range(domain.n))
+    assert rep.positivity_min == check_positivity(u).metric
+
+
 def test_solve_defect_decreases_under_refinement():
     coarse = solve(UNIT_INTERVAL, 2.0, cfg_1d())
     fine = solve(make_interval(1.0, 512), 2.0, cfg_1d(K=128))
@@ -231,10 +246,11 @@ def test_sweep_empty_list():
 
 
 def test_sweep_flags_rejected_exponent_without_crashing():
-    reports = sweep(UNIT_SQUARE, [2.0, 5.0], SolveConfig(K=16))
-    assert reports[0].converged
-    assert not reports[1].converged
-    assert "rejected" in reports[1].detail
+    for domain, exponents in ((UNIT_SQUARE, [2.0, 5.0]), (DENSE_INTERVAL, [2.0, math.inf])):
+        reports = sweep(domain, exponents, SolveConfig(K=16))
+        assert reports[0].converged
+        assert not reports[1].converged
+        assert "rejected" in reports[1].detail
 
 
 def test_near_critical_override_produces_report():

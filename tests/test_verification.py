@@ -183,6 +183,12 @@ def test_margin_rejects_negative_bound():
         stability_margin(make_interval(1.0, 32), -1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_margin_rejects_nonfinite_bound(value):
+    with pytest.raises(ValueError, match="c_minus_inf must be finite"):
+        stability_margin(make_interval(1.0, 32), value)
+
+
 @given(L=st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=25, deadline=None)
 def test_margin_increases_when_interval_shrinks(L):
