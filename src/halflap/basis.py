@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class DiscreteDomain:
     def spacings(self) -> tuple[float, ...]:
         return tuple(L / N for L, N in zip(self.lengths, self.grid_counts))
 
-    @property
+    @cached_property
     def weight(self) -> float:
         """Quadrature weight per interior node: the product of grid spacings."""
         return math.prod(self.spacings)
@@ -137,8 +138,8 @@ class EigenBasis:
     """Ordered Dirichlet eigenpairs sampled on the grid, discretely orthonormal.
 
     lambdas are nondecreasing; mode_indices holds the per-axis sine indices of
-    each eigenfunction; matrix stacks the sampled eigenfunctions row by row for
-    fast projection and synthesis.
+    each eigenfunction; matrix stacks the sampled eigenfunctions row by row and
+    is read only here, by to_grid and to_coeffs, the coefficient/grid transform.
     """
 
     domain: DiscreteDomain
@@ -152,6 +153,14 @@ class EigenBasis:
     def modes(self) -> tuple[GridFn, ...]:
         """The eigenfunctions as GridFns."""
         return tuple(GridFn(self.domain, row) for row in self.matrix)
+
+    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values sum b_k phi_k of the coefficients b at the interior nodes."""
+        return coeffs @ self.matrix
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients <u, phi_k> of the grid values u, by the node quadrature."""
+        return self.matrix @ values * self.domain.weight
 
 
 def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:

@@ -341,6 +341,8 @@ def _cmd_check(args, domain):
     cfg = _build_config(args)
     if args.mp_samples < 1:
         raise ConfigError(f"mp_samples must be at least 1, got {args.mp_samples}")
+    # a bad c_minus is rejected before the solve; its report still comes last
+    margin = stability_margin(domain, args.c_minus)
     report = solve(domain, cfg.p, cfg)
     checks = []
     if report.solution is not None:
@@ -363,7 +365,7 @@ def _cmd_check(args, domain):
         for axis in range(domain.n):
             checks.append(check_monotonicity(u, axis))
         checks.append(check_hopf(u))
-    checks.append(stability_margin(domain, args.c_minus))
+    checks.append(margin)
     all_passed = report.converged and all(c.passed for c in checks)
     doc = {
         "all_passed": all_passed,

@@ -28,7 +28,7 @@ def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
     if y < 0:
         raise ValueError("extension height must be nonnegative")
     decay = np.exp(-f.basis.sqrt_lambdas * y)
-    return GridFn(f.basis.domain, (f.coeffs * decay) @ f.basis.matrix)
+    return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs * decay))
 
 
 def dirichlet_energy(f: SpectralFn) -> float:

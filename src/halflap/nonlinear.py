@@ -16,6 +16,7 @@ after STALL_STEPS steps without a new best residual.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +77,12 @@ class SolveConfig:
     allow_near_critical: bool = False
 
     def __post_init__(self):
+        for name in ("K", "max_iter", "rng_seed"):
+            # a float K truncates to fewer modes, a float max_iter never meets
+            # the cap, and a bool passes as 0 or 1
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.p is not None and not self.p >= MIN_EXPONENT:
             raise ConfigError(f"p = {self.p} is below the floor {MIN_EXPONENT}")
         if self.K < 1:
@@ -189,17 +196,16 @@ def _evaluate(basis: EigenBasis, u: np.ndarray, p: float):
     The fixed-point loop and both residual functions measure through this one
     expression, so a solve reports exactly the residual its iteration measured.
     """
-    Phi = basis.matrix
-    grid = u @ Phi
+    grid = basis.to_grid(u)
     power = np.maximum(grid, 0.0) ** p
-    projection = Phi @ power * basis.domain.weight
-    res = float(np.max(np.abs((u * basis.sqrt_lambdas - projection) @ Phi)))
+    projection = basis.to_coeffs(power)
+    res = float(np.max(np.abs(basis.to_grid(u * basis.sqrt_lambdas - projection))))
     return grid, power, projection, res
 
 
 def _equation_defect(basis: EigenBasis, u: np.ndarray, power: np.ndarray) -> float:
     """Unprojected sup-norm defect of A_half u = u^p at the nodes."""
-    return float(np.max(np.abs((u * basis.sqrt_lambdas) @ basis.matrix - power)))
+    return float(np.max(np.abs(basis.to_grid(u * basis.sqrt_lambdas) - power)))
 
 
 def residual(u: SpectralFn, p: float) -> float:
@@ -235,16 +241,15 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     projected residual, or None after a nonfinite iterate; stop is "" when the
     target was met, else the reason the iteration ended.
     """
-    Phi = basis.matrix
     s = basis.sqrt_lambdas
     wq = basis.domain.weight
-    w = Phi[0].copy()
+    w = basis.to_grid(np.eye(1, basis.K)[0])  # the ground mode
     if cfg.init_perturbation > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        w = w + cfg.init_perturbation * (rng.standard_normal(basis.K) @ Phi)
+        w = w + cfg.init_perturbation * basis.to_grid(rng.standard_normal(basis.K))
     w = np.abs(w)
     w /= _constraint_scale(w, wq, p)
-    b = Phi @ w * wq
+    b = basis.to_coeffs(w)
     target = max(cfg.tol_residual * 1e-2, 1e-14)
     best, best_res, best_step = None, math.inf, 0
     step = 0
@@ -261,7 +266,7 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
         if step - best_step >= STALL_STEPS:
             return best, step, f"no new best residual in {STALL_STEPS} steps"
         z = Pb / s
-        scale = _constraint_scale(z @ Phi, wq, p)
+        scale = _constraint_scale(basis.to_grid(z), wq, p)
         if not 0.0 < scale < math.inf:
             return None, step, "fixed-point iteration produced a nonfinite iterate"
         b = z / scale

@@ -83,12 +83,12 @@ def analyze(u: GridFn, basis: EigenBasis) -> SpectralFn:
     """Project a grid function onto the eigenbasis: b_k = <u, phi_k>."""
     if u.domain != basis.domain:
         raise DomainMismatchError("grid function and basis must share a domain")
-    return SpectralFn(basis, basis.matrix @ u.values * basis.domain.weight)
+    return SpectralFn(basis, basis.to_coeffs(u.values))
 
 
 def synthesize(f: SpectralFn) -> GridFn:
     """Evaluate sum b_k phi_k pointwise on the interior grid."""
-    return GridFn(f.basis.domain, f.coeffs @ f.basis.matrix)
+    return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs))
 
 
 def apply_A_half(f: SpectralFn) -> SpectralFn:

@@ -1,14 +1,18 @@
 """Domain construction, eigenpairs, and grid inner products."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halflap
 from halflap import (
     AliasingError,
+    DiscreteDomain,
     DomainError,
     DomainMismatchError,
     GridFn,
@@ -75,6 +79,49 @@ def test_discrete_orthonormality():
     basis = eigenpairs(make_interval(1.0, 256), 32)
     gram = (basis.matrix * basis.domain.weight) @ basis.matrix.T
     assert np.max(np.abs(gram - np.eye(32))) <= ORTHO_TOL
+
+
+@pytest.mark.parametrize(
+    "domain, K",
+    [(make_interval(1.0, 256), 64), (make_rectangle(2.0, 1.0, 64, 32), 30)],
+)
+def test_to_coeffs_inverts_to_grid(domain, K):
+    basis = eigenpairs(domain, K)
+    b = np.random.default_rng(7).standard_normal(K)
+    values = basis.to_grid(b)
+    assert values.shape == (domain.num_nodes,)
+    assert np.max(np.abs(basis.to_coeffs(values) - b)) <= ORTHO_TOL * np.max(np.abs(b))
+
+
+def test_weight_computed_once_per_domain(monkeypatch):
+    calls = []
+    spacings = DiscreteDomain.spacings
+
+    def counted(self):
+        calls.append(self)
+        return spacings.fget(self)
+
+    monkeypatch.setattr(DiscreteDomain, "spacings", property(counted))
+    dom = make_rectangle(1.0, 2.0, 16, 32)
+    u = GridFn(dom, np.ones(dom.num_nodes))
+    weights = {dom.weight for _ in range(3)}
+    inner_product(u, u)
+    inner_product(u, u)
+    assert weights == {0.0625 * 0.0625}
+    assert len(calls) == 1
+
+
+def test_only_basis_reads_the_mode_matrix():
+    # every coefficient/grid transform goes through EigenBasis.to_grid and
+    # to_coeffs, so a new representation of the modes changes basis.py alone
+    readers = []
+    for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
+        if path.name == "basis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_mode_count_bounds():

@@ -375,6 +375,18 @@ def test_nonfinite_c_minus_exits_2(value, capsys):
     assert "c_minus_inf must be finite" in captured.err
 
 
+def test_nonfinite_c_minus_fails_before_the_solve(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("check solved before rejecting --c-minus")
+
+    monkeypatch.setattr("halflap.cli.solve", no_solve)
+    code = run(["check", "--domain", "interval:1:64", "--p", "2", "--modes", "16",
+                "--mp-samples", "1", "--c-minus", "nan"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "c_minus_inf must be finite" in captured.err
+
+
 # Reports of commands whose numbers are elementwise arithmetic and sqrt only
 # (no matrix product, no sin), so their bytes do not depend on BLAS or libm.
 FROZEN_REPORTS = {

@@ -37,7 +37,9 @@ def test_extension_at_base_is_the_trace():
     basis = unit_basis()
     rng = np.random.default_rng(2)
     f = SpectralFn(basis, rng.standard_normal(32))
-    np.testing.assert_array_equal(evaluate_extension(f, 0.0).values, synthesize(f).values)
+    base = evaluate_extension(f, 0.0).values
+    np.testing.assert_array_equal(base, synthesize(f).values)
+    np.testing.assert_array_equal(base, basis.to_grid(f.coeffs))
 
 
 def test_extension_damps_single_mode():

@@ -88,6 +88,12 @@ def test_config_validation():
         ("init_perturbation", -0.1),
         ("rng_seed", -1),
         ("p", math.inf),
+        ("K", 16.9),
+        ("K", True),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("rng_seed", 1.5),
+        ("rng_seed", False),
     ],
 )
 def test_config_rejects_nonfinite_and_negative_settings(field, value):

@@ -21,6 +21,7 @@ from halflap import (
     hardy_quotient,
     inner_product,
     make_interval,
+    make_rectangle,
     synthesize,
     v0_norm_sq,
 )
@@ -34,6 +35,18 @@ coeff_arrays = arrays(
 
 def unit_basis(N=256, K=32):
     return eigenpairs(make_interval(1.0, N), K)
+
+
+@pytest.mark.parametrize(
+    "domain, K", [(make_interval(1.0, 256), 32), (make_rectangle(1.0, 1.0, 32, 32), 20)]
+)
+def test_transforms_are_the_basis_maps(domain, K):
+    basis = eigenpairs(domain, K)
+    rng = np.random.default_rng(5)
+    f = SpectralFn(basis, rng.standard_normal(K))
+    u = GridFn(domain, rng.standard_normal(domain.num_nodes))
+    np.testing.assert_array_equal(synthesize(f).values, basis.to_grid(f.coeffs))
+    np.testing.assert_array_equal(analyze(u, basis).coeffs, basis.to_coeffs(u.values))
 
 
 def test_analyze_recovers_single_mode():
