@@ -137,17 +137,40 @@ class GridFn:
 class EigenBasis:
     """Ordered Dirichlet eigenpairs sampled on the grid, discretely orthonormal.
 
-    lambdas are nondecreasing; mode_indices holds the per-axis sine indices of
-    each eigenfunction; matrix stacks the sampled eigenfunctions row by row and
-    is read only here, by to_grid and to_coeffs, the coefficient/grid transform.
+    lambdas are nondecreasing. Every eigenfunction is a product of one sampled
+    sine per axis, so the basis stores per-axis factors rather than the modes:
+    factors[a] holds rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on axis
+    a's nodes, and factor_rows[a] holds each mode's zero-based row in factors[a].
+    An interval's single factor is its K modes themselves. The factors are read
+    only here, by to_grid and to_coeffs, the coefficient/grid transform; the
+    dense view matrix is built from them on demand.
     """
 
     domain: DiscreteDomain
     K: int
     lambdas: np.ndarray
     sqrt_lambdas: np.ndarray
-    mode_indices: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    factor_rows: tuple[np.ndarray, ...]
+
+    @cached_property
+    def mode_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per-axis sine indices of each eigenfunction."""
+        return tuple(zip(*((rows + 1).tolist() for rows in self.factor_rows)))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only K x num_nodes array of the sampled modes, row by row.
+
+        Built from the factors on every access; no transform uses it.
+        """
+        picked = [f[rows] for f, rows in zip(self.factors, self.factor_rows)]
+        if len(picked) == 1:
+            dense = picked[0]
+        else:
+            dense = (picked[0][:, :, None] * picked[1][:, None, :]).reshape(self.K, -1)
+        dense.flags.writeable = False
+        return dense
 
     @property
     def modes(self) -> tuple[GridFn, ...]:
@@ -155,12 +178,29 @@ class EigenBasis:
         return tuple(GridFn(self.domain, row) for row in self.matrix)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values sum b_k phi_k of the coefficients b at the interior nodes."""
-        return coeffs @ self.matrix
+        """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
+
+        On a rectangle the coefficients are scattered into a (max j, max k)
+        array C and the values are phi_1^T C phi_2, flattened in C order.
+        """
+        if len(self.factors) == 1:
+            return coeffs @ self.factors[0]
+        phi1, phi2 = self.factors
+        c = np.zeros((phi1.shape[0], phi2.shape[0]))
+        c[self.factor_rows] = coeffs
+        return (phi1.T @ c @ phi2).ravel()
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients <u, phi_k> of the grid values u, by the node quadrature."""
-        return self.matrix @ values * self.domain.weight
+        """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
+
+        On a rectangle this is (phi_1 U phi_2^T)[j-1, k-1] times the node weight,
+        with U the values shaped like the node grid.
+        """
+        if len(self.factors) == 1:
+            return self.factors[0] @ values * self.domain.weight
+        phi1, phi2 = self.factors
+        c = phi1 @ values.reshape(self.domain.shape) @ phi2.T
+        return c[self.factor_rows] * self.domain.weight
 
 
 def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
@@ -174,10 +214,13 @@ def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs of the domain.
 
-    Interval (0, L): lambda_k = (k pi / L)^2 with mode sqrt(2/L) sin(k pi x / L).
-    Rectangle: tensor products, eigenvalues summed per axis, sorted ascending
-    with lexicographic (j, k) tie-break. Requires K <= min(grid_counts) - 1;
-    higher sine indices alias on the grid (mode N vanishes identically).
+    Interval (0, L): lambda_k = (k pi / L)^2 with mode sqrt(2/L) sin(k pi x / L),
+    stored as one K x (N-1) factor. Rectangle: tensor products, eigenvalues
+    summed per axis, sorted ascending with lexicographic (j, k) tie-break; the
+    basis stores one sine factor per axis up to the largest index used, and
+    EigenBasis.matrix builds the dense modes on demand. Requires
+    K <= min(grid_counts) - 1; higher sine indices alias on the grid (mode N
+    vanishes identically).
     """
     K = int(K)
     if K < 1:
@@ -191,28 +234,26 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
         L = domain.lengths[0]
         ks = np.arange(1, K + 1)
         lambdas = (ks * np.pi / L) ** 2
-        matrix = _axis_modes(domain, 0, K)
-        indices = tuple((int(k),) for k in ks)
+        rows = (ks - 1,)
     else:
         (L1, L2), (N1, N2) = domain.lengths, domain.grid_counts
         j, k = np.meshgrid(np.arange(1, N1), np.arange(1, N2), indexing="ij")
         j, k = j.ravel(), k.ravel()
         lam = (j * np.pi / L1) ** 2 + (k * np.pi / L2) ** 2
         order = np.lexsort((k, j, lam))[:K]
-        j, k, lambdas = j[order], k[order], lam[order]
-        indices = tuple(zip(j.tolist(), k.tolist()))
-        rows1 = _axis_modes(domain, 0, int(j.max()))
-        rows2 = _axis_modes(domain, 1, int(k.max()))
-        matrix = (rows1[j - 1][:, :, None] * rows2[k - 1][:, None, :]).reshape(K, -1)
-    # the matrix is built here, so it is frozen in place rather than copied
-    matrix.flags.writeable = False
+        lambdas = lam[order]
+        rows = (j[order] - 1, k[order] - 1)
+    factors = tuple(_axis_modes(domain, a, int(r.max()) + 1) for a, r in enumerate(rows))
+    # the factors and rows are built here, so they are frozen in place rather than copied
+    for arr in factors + rows:
+        arr.flags.writeable = False
     return EigenBasis(
         domain=domain,
         K=K,
         lambdas=_freeze(lambdas),
         sqrt_lambdas=_freeze(np.sqrt(lambdas)),
-        mode_indices=indices,
-        matrix=matrix,
+        factors=factors,
+        factor_rows=rows,
     )
 
 

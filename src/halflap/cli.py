@@ -155,12 +155,6 @@ def _plot_table(u: GridFn) -> tuple[list[str], list[list]]:
     return header, [list(c) + [v] for c, v in zip(u.domain.node_coords(), u.values)]
 
 
-def emit_plot_data(u: GridFn, path) -> None:
-    """Write node coordinates and values as CSV columns with a header row."""
-    with _open_output(path) as fh:
-        _write_csv(fh, *_plot_table(u))
-
-
 def _load_config(path: str, known) -> dict:
     """Read a config file; keys outside `known` are rejected, not ignored."""
     try:

@@ -83,6 +83,11 @@ class SolveConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.allow_near_critical, bool):
+            # only its truth value is read, so "no" would count as true
+            raise ConfigError(
+                f"allow_near_critical must be a bool, got {self.allow_near_critical!r}"
+            )
         if self.p is not None and not self.p >= MIN_EXPONENT:
             raise ConfigError(f"p = {self.p} is below the floor {MIN_EXPONENT}")
         if self.K < 1:

@@ -1,6 +1,7 @@
 """Domain construction, eigenpairs, and grid inner products."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from halflap import (
     make_interval,
     make_rectangle,
 )
+from halflap.basis import _axis_modes
 
 ORTHO_TOL = 1e-13
 
@@ -93,6 +95,51 @@ def test_to_coeffs_inverts_to_grid(domain, K):
     assert np.max(np.abs(basis.to_coeffs(values) - b)) <= ORTHO_TOL * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize(
+    "dims, K",
+    [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)],
+)
+def test_separable_transform_matches_dense_modes(dims, K):
+    # the square has eigenvalue ties; each case takes its largest allowed K
+    basis = eigenpairs(make_rectangle(*dims), K)
+    dense = basis.matrix
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(K)
+    values = rng.standard_normal(basis.domain.num_nodes)
+    want_grid = b @ dense
+    want_coeffs = dense @ values * basis.domain.weight
+    assert np.max(np.abs(basis.to_grid(b) - want_grid)) <= ORTHO_TOL * np.max(np.abs(want_grid))
+    assert np.max(np.abs(basis.to_coeffs(values) - want_coeffs)) <= ORTHO_TOL * np.max(
+        np.abs(want_coeffs)
+    )
+
+
+def test_interval_transform_is_one_product_with_its_modes():
+    dom = make_interval(1.3, 256)
+    basis = eigenpairs(dom, 64)
+    modes = _axis_modes(dom, 0, 64)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(64)
+    values = rng.standard_normal(dom.num_nodes)
+    np.testing.assert_array_equal(basis.to_grid(b), b @ modes)
+    np.testing.assert_array_equal(basis.to_coeffs(values), modes @ values * dom.weight)
+
+
+def _array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, tuple):
+        return sum(_array_bytes(item) for item in obj)
+    return 0
+
+
+def test_large_square_basis_stores_no_dense_modes():
+    # a dense 255 x 65025 mode matrix would take 133 MB
+    basis = eigenpairs(make_rectangle(1.0, 1.0, 256, 256), 255)
+    held = sum(_array_bytes(getattr(basis, f.name)) for f in dataclasses.fields(basis))
+    assert 0 < held < 1_000_000
+
+
 def test_weight_computed_once_per_domain(monkeypatch):
     calls = []
     spacings = DiscreteDomain.spacings
@@ -113,13 +160,15 @@ def test_weight_computed_once_per_domain(monkeypatch):
 
 def test_only_basis_reads_the_mode_matrix():
     # every coefficient/grid transform goes through EigenBasis.to_grid and
-    # to_coeffs, so a new representation of the modes changes basis.py alone
+    # to_coeffs, so a new representation of the modes changes basis.py alone;
+    # that covers the dense view and the per-axis factors and their rows
+    owned = {"matrix", "factors", "factor_rows"}
     readers = []
     for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
         if path.name == "basis.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "matrix":
+            if isinstance(node, ast.Attribute) and node.attr in owned:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
 
@@ -166,10 +215,12 @@ def test_rectangle_mode_order_matches_brute_force(dims, K):
 
 
 def test_basis_arrays_are_read_only():
-    basis = eigenpairs(make_rectangle(1.0, 1.0, 16, 16), 8)
-    for arr in (basis.lambdas, basis.sqrt_lambdas, basis.matrix):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    for domain in (make_rectangle(1.0, 1.0, 16, 16), make_interval(1.0, 64)):
+        basis = eigenpairs(domain, 8)
+        arrays = (basis.lambdas, basis.sqrt_lambdas, basis.matrix)
+        for arr in arrays + basis.factors + basis.factor_rows:
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 @given(L=lengths, K=st.integers(min_value=1, max_value=7))

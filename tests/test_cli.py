@@ -5,11 +5,9 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from halflap import GridFn, SolveConfig, make_interval, solve
-from halflap.cli import emit_plot_data, run
+from halflap.cli import run
 
 
 def run_capture(argv, capsys):
@@ -284,33 +282,31 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _extend_to_file(domain, path):
+    # extend writes the node coordinates and the extension slice as plot columns
+    return run(["extend", "--domain", domain, "--modes", "2", "--mode", "1", "--y", "0",
+                "--format", "csv", "--output", str(path)])
+
+
 def test_plot_data_1d_row_count(tmp_path):
-    dom = make_interval(1.0, 8)
-    x = dom.axis_nodes(0)
-    u = GridFn(dom, np.sqrt(2.0) * np.sin(np.pi * x))
     path = tmp_path / "plot.csv"
-    emit_plot_data(u, str(path))
+    assert _extend_to_file("interval:1:8", path) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "x,u"
     assert len(lines) == 8
 
 
 def test_plot_data_2d_row_count(tmp_path):
-    from halflap import make_rectangle
-
-    rep = solve(make_rectangle(1.0, 1.0, 8, 8), 2.0, SolveConfig(p=2.0, K=2))
     path = tmp_path / "plot2d.csv"
-    emit_plot_data(rep.solution_grid, str(path))
+    assert _extend_to_file("rectangle:1:1:8:8", path) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,x2,u"
     assert len(lines) == 50
 
 
-def test_plot_data_unwritable_path():
-    dom = make_interval(1.0, 8)
-    u = GridFn(dom, np.ones(7))
-    with pytest.raises(OSError):
-        emit_plot_data(u, "/nonexistent/dir/plot.csv")
+def test_plot_data_unwritable_path(capsys):
+    assert _extend_to_file("interval:1:8", "/nonexistent/dir/plot.csv") == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_line_endings_are_lf(tmp_path):

@@ -94,6 +94,8 @@ def test_config_validation():
         ("max_iter", True),
         ("rng_seed", 1.5),
         ("rng_seed", False),
+        ("allow_near_critical", "no"),
+        ("allow_near_critical", 1),
     ],
 )
 def test_config_rejects_nonfinite_and_negative_settings(field, value):
