@@ -4,9 +4,10 @@ The package builds the Dirichlet sine eigenbasis on uniform grids, applies the
 half Laplacian and its inverse diagonally in that basis, evaluates the
 harmonic extension to the half cylinder with its Dirichlet energy and
 Dirichlet-to-Neumann map, solves the power nonlinearity problem by the
-normalized fixed-point iteration from the ground mode, and verifies qualitative
-properties (positivity, symmetry, monotonicity, maximum principles, boundary
-derivative sign, spectral stability margin) on the computed solutions.
+Anderson-accelerated normalized fixed-point iteration from the ground mode,
+and verifies qualitative properties (positivity, symmetry, monotonicity,
+maximum principles, boundary derivative sign, spectral stability margin) on
+the computed solutions.
 """
 
 from .basis import (
@@ -38,7 +39,6 @@ from .nonlinear import (
     SolveReport,
     critical_exponent,
     galerkin_residual,
-    rescale_to_solution,
     residual,
     solve,
     sweep,
@@ -106,7 +106,6 @@ __all__ = [
     "make_interval",
     "make_rectangle",
     "reflect",
-    "rescale_to_solution",
     "residual",
     "solve",
     "stability_margin",

@@ -159,6 +159,11 @@ class EigenBasis:
         return tuple(zip(*((rows + 1).tolist() for rows in self.factor_rows)))
 
     @property
+    def max_indices(self) -> tuple[int, ...]:
+        """Largest sine index used on each axis."""
+        return tuple(f.shape[0] for f in self.factors)
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense read-only K x num_nodes array of the sampled modes, row by row.
 
@@ -237,9 +242,19 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
         rows = (ks - 1,)
     else:
         (L1, L2), (N1, N2) = domain.lengths, domain.grid_counts
-        j, k = np.meshgrid(np.arange(1, N1), np.arange(1, N2), indexing="ij")
-        j, k = j.ravel(), k.ravel()
-        lam = (j * np.pi / L1) ** 2 + (k * np.pi / L2) ** 2
+
+        def candidates(top_j: int, top_k: int):
+            j, k = np.meshgrid(np.arange(1, top_j + 1), np.arange(1, top_k + 1), indexing="ij")
+            j, k = j.ravel(), k.ravel()
+            return j, k, (j * np.pi / L1) ** 2 + (k * np.pi / L2) ** 2
+
+        # the K-th eigenvalue of a box of at least K pairs bounds the K-th of the
+        # rectangle from above, so every mode kept has j <= L1 sqrt(bound) / pi
+        # and k <= L2 sqrt(bound) / pi; the + 1 absorbs rounding at the bound
+        side = math.isqrt(K - 1) + 1
+        box = candidates(side, -(-K // side))[2]
+        radius = math.sqrt(np.partition(box, K - 1)[K - 1]) / math.pi
+        j, k, lam = candidates(min(N1 - 1, int(L1 * radius) + 1), min(N2 - 1, int(L2 * radius) + 1))
         order = np.lexsort((k, j, lam))[:K]
         lambdas = lam[order]
         rows = (j[order] - 1, k[order] - 1)

@@ -3,14 +3,19 @@
 The solver finds u > 0 vanishing on the boundary with A_half u = u^p. The
 positive solution is the minimizer of the extension energy sum b_k^2
 sqrt(lambda_k) over trace functions with unit L^(p+1) norm, scaled by
-I0^(1/(p-1)) where I0 is the minimum energy. It is reached by the normalized
-fixed-point (Petviashvili) iteration w <- B_half(projection of u^p) started
-from the normalized ground mode, with u = I0(w)^(1/(p-1)) w and w renormalized
-to the constraint sphere each step: the unnormalized map is radially
-repelling with amplitude factor p > 1, so the renormalization is what makes
-the iteration contract. The solve reports the iterate with the smallest
-projected residual, and stops at 1e-2 * tol_residual, at max_iter steps, or
-after STALL_STEPS steps without a new best residual.
+I0^(1/(p-1)) where I0 is the minimum energy. It is the fixed point of the
+normalized (Petviashvili) map w <- B_half(projection of u^p), with u =
+I0(w)^(1/(p-1)) w and the image renormalized to the constraint sphere: the
+unnormalized map is radially repelling with amplitude factor p > 1, so the
+renormalization is what makes the map contract. The iteration starts from the
+normalized ground mode and accelerates the map by Anderson mixing of depth
+ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal.
+49, 2011): each step combines the last plain steps so that their residuals
+cancel in the least-squares sense, and renormalizes the combination. A
+combination that cannot be renormalized clears the history and the plain step
+is taken instead. The solve reports the iterate with the smallest projected
+residual, and stops at 1e-2 * tol_residual, at max_iter steps, or after
+STALL_STEPS steps without a new best residual.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ NEAR_CRITICAL_BAND = 0.05
 # round-off floor the residual can wander on a plateau above the target (4e-11
 # to 1e-10 on 2:1 rectangles at p = 2.5, against 1e-11) and would spin to max_iter
 STALL_STEPS = 20
+# plain-step differences the Anderson mixing combines
+ANDERSON_DEPTH = 5
 
 
 class ConfigError(ValueError):
@@ -164,8 +171,7 @@ def _validate_exponent(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> No
 def _check_dealiasing(basis: EigenBasis) -> None:
     # the grid must resolve the power nonlinearity: N >= 4 * max mode index per axis
     for axis in range(basis.domain.n):
-        top = max(idx[axis] for idx in basis.mode_indices)
-        need = 4 * top
+        need = 4 * basis.max_indices[axis]
         if basis.domain.grid_counts[axis] < need:
             raise ConfigError(
                 f"grid count {basis.domain.grid_counts[axis]} on axis {axis} is too "
@@ -175,14 +181,6 @@ def _check_dealiasing(basis: EigenBasis) -> None:
 
 def _constraint_scale(values: np.ndarray, weight: float, p: float) -> float:
     return float((np.sum(np.abs(values) ** (p + 1)) * weight) ** (1.0 / (p + 1)))
-
-
-def rescale_to_solution(w: SpectralFn, I0: float, p: float) -> SpectralFn:
-    """Scale the constrained minimizer by the Lagrange factor I0^(1/(p-1))."""
-    if not I0 > 0:
-        raise ValueError(f"I0 = {I0} must be positive")
-    t = I0 ** (1.0 / (p - 1.0))
-    return SpectralFn(w.basis, t * w.coeffs)
 
 
 def _sign_gate(values: np.ndarray) -> None:
@@ -239,7 +237,13 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
 
 
 def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
-    """Normalized fixed-point iteration from the (perturbed) ground mode.
+    """Anderson-mixed normalized fixed-point iteration from the (perturbed) ground mode.
+
+    Each step maps the iterate b to the plain step g = normalize(B_half P(u^p))
+    and mixes it with the last ANDERSON_DEPTH differences of g and of the
+    residual f = g - b; the mixed iterate is renormalized to the constraint
+    sphere, or, if that scale is zero or nonfinite, replaced by g with the
+    history cleared.
 
     Returns (best, steps, stop). best is (I0, u coefficients, grid values,
     clipped power, projected residual) of the iterate with the smallest
@@ -257,6 +261,7 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     b = basis.to_coeffs(w)
     target = max(cfg.tol_residual * 1e-2, 1e-14)
     best, best_res, best_step = None, math.inf, 0
+    dg, df = [], []  # differences of the last plain steps and of their residuals
     step = 0
     while True:
         I0 = float(np.sum(b * b * s))
@@ -274,7 +279,26 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
         scale = _constraint_scale(basis.to_grid(z), wq, p)
         if not 0.0 < scale < math.inf:
             return None, step, "fixed-point iteration produced a nonfinite iterate"
-        b = z / scale
+        g = z / scale  # the plain step
+        f = g - b
+        if step > 0:
+            dg.append(g - g_prev)
+            df.append(f - f_prev)
+            del dg[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
+        g_prev, f_prev = g, f
+        b = g
+        if df:
+            # the combination of the recent plain steps whose residuals best
+            # cancel, by least squares over the residual differences
+            gamma = np.linalg.lstsq(np.array(df).T, f)[0]
+            mixed = g - gamma @ np.array(dg)
+            mixed_scale = _constraint_scale(basis.to_grid(mixed), wq, p)
+            if 0.0 < mixed_scale < math.inf:
+                b = mixed / mixed_scale
+            else:
+                # a degenerate combination restarts the history from the plain step
+                dg.clear()
+                df.clear()
         step += 1
 
 

@@ -198,7 +198,16 @@ def test_rectangle_eigenvalues_positive_and_sorted(L1, L2, K):
     assert np.all(np.diff(basis.lambdas) >= 0)
 
 
-@pytest.mark.parametrize("dims, K", [((1.0, 1.0, 24, 24), 23), ((2.0, 1.0, 32, 16), 15)])
+@pytest.mark.parametrize(
+    "dims, K",
+    [
+        ((1.0, 1.0, 24, 24), 23),
+        ((2.0, 1.0, 32, 16), 15),
+        ((2.0, 1.0, 256, 128), 127),
+        ((1.0, 1.0, 256, 256), 255),
+        ((1.3, 0.7, 40, 90), 39),
+    ],
+)
 def test_rectangle_mode_order_matches_brute_force(dims, K):
     # ascending eigenvalue, ties (j <-> k on the square) broken by j, then k
     L1, L2, N1, N2 = dims

@@ -257,6 +257,23 @@ def test_module_entry_points_run_without_warnings():
         assert proc.stdout.splitlines()[0] == "k,lambda"
 
 
+def test_solve_does_not_import_scipy():
+    # numpy is the only dependency: the solver's least squares must not pull in scipy
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "halflap",
+         "solve", "--domain", "rectangle:1:1:64:64", "--modes", "60", "--p", "2.5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "numpy.linalg" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
 def test_missing_config_file(capsys):
     code = run(["solve", "--config", "/nonexistent/run.cfg", "--p", "2"])
     capsys.readouterr()

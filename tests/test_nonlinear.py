@@ -1,4 +1,4 @@
-"""Fixed-point solve, rescaling, residuals, and sweep."""
+"""Fixed-point solve, residuals, and sweep."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
+import halflap.nonlinear as nonlinear
 from halflap import (
     ConfigError,
     SignViolationError,
@@ -18,7 +19,6 @@ from halflap import (
     galerkin_residual,
     make_interval,
     make_rectangle,
-    rescale_to_solution,
     residual,
     solve,
     sweep,
@@ -121,27 +121,6 @@ def test_dealiasing_guard():
         solve(make_interval(1.0, 128), 2.0, cfg_1d())
 
 
-def test_rescale_identity_when_multiplier_is_one():
-    basis = eigenpairs(UNIT_INTERVAL, 4)
-    w = SpectralFn(basis, np.array([0.5, 0.25, 0.0, -0.125]))
-    u = rescale_to_solution(w, 1.0, 2.0)
-    np.testing.assert_array_equal(u.coeffs, w.coeffs)
-
-
-def test_rescale_scales_by_power_of_multiplier():
-    basis = eigenpairs(UNIT_INTERVAL, 4)
-    w = SpectralFn(basis, np.array([0.5, 0.25, 0.0, -0.125]))
-    u = rescale_to_solution(w, 4.0, 2.0)
-    np.testing.assert_allclose(u.coeffs, 4.0 * w.coeffs, rtol=1e-15)
-
-
-def test_rescale_rejects_nonpositive_energy():
-    basis = eigenpairs(UNIT_INTERVAL, 4)
-    w = SpectralFn(basis, np.ones(4))
-    with pytest.raises(ValueError):
-        rescale_to_solution(w, 0.0, 2.0)
-
-
 def test_residual_of_zero():
     basis = eigenpairs(UNIT_INTERVAL, 8)
     assert residual(SpectralFn(basis, np.zeros(8)), 2.0) == 0.0
@@ -173,7 +152,7 @@ def test_residual_small_at_dense_discretization():
     # fixed-point iterate drives both to the floor
     I0, _, b = ref.fixed_point_reference(1.0, 64, 63, 2.0)
     basis = eigenpairs(DENSE_INTERVAL, 63)
-    sol = rescale_to_solution(SpectralFn(basis, b), I0, 2.0)
+    sol = SpectralFn(basis, I0 * b)  # the factor I0^(1/(p-1)) at p = 2
     r = residual(sol, 2.0)
     assert r <= 1e-8
     assert galerkin_residual(sol, 2.0) == pytest.approx(r, abs=1e-10)
@@ -224,6 +203,69 @@ def test_solve_2d_symmetric_in_both_axes():
         assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
         if positive:
             assert rep.positivity_min > 0
+
+
+# I0 of each ground-start solve as the plain normalized iteration found it (one
+# BLAS thread, numpy 2.4): the accelerated loop must land on the same minimizer
+GROUND_I0 = [
+    (make_interval(1.0, 256), 64, 1.5, 2.9148424722100037),
+    (make_interval(1.0, 256), 64, 2.0, 2.7142244124757684),
+    (make_interval(1.0, 256), 64, 3.0, 2.377583782632653),
+    (make_interval(1.0, 256), 64, 5.0, 1.8893717621743866),
+    (make_interval(1.0, 1024), 256, 1.5, 2.914842474925964),
+    (make_interval(1.0, 1024), 256, 2.0, 2.714224412607661),
+    (make_interval(1.0, 1024), 256, 3.0, 2.3775837826326525),
+    (make_interval(1.0, 1024), 256, 5.0, 1.8893717454050303),
+    (UNIT_SQUARE, 60, 1.5, 3.783223300090151),
+    (UNIT_SQUARE, 60, 2.0, 3.1579195235411976),
+    (UNIT_SQUARE, 60, 2.5, 2.5664422784281036),
+    (make_rectangle(1.0, 1.0, 128, 128), 127, 1.5, 3.7832203987246174),
+    (make_rectangle(1.0, 1.0, 128, 128), 127, 2.0, 3.1576854969788024),
+    (make_rectangle(1.0, 1.0, 128, 128), 127, 2.5, 2.542090727070132),
+    (make_rectangle(2.0, 1.0, 256, 128), 127, 1.5, 3.3904661592617322),
+    (make_rectangle(2.0, 1.0, 256, 128), 127, 2.0, 2.997688143499192),
+    (make_rectangle(2.0, 1.0, 256, 128), 127, 2.5, 2.4991787887708616),
+]
+
+
+@pytest.mark.parametrize("domain, K, p, I0", GROUND_I0)
+def test_ground_start_converges_in_few_steps(domain, K, p, I0):
+    rep = solve(domain, p, SolveConfig(p=p, K=K))
+    assert rep.converged
+    assert rep.iterations < 60
+    assert rep.I0 == pytest.approx(I0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "domain, K, p", [(UNIT_SQUARE, 60, 2.0), (UNIT_SQUARE, 60, 2.5), (UNIT_INTERVAL, 64, 3.0)]
+)
+def test_perturbed_start_converges_to_the_ground_solution(domain, K, p):
+    # the perturbation excites the antisymmetric modes, which the plain
+    # normalized map contracts slowly (over 200 steps on each of these cases)
+    cfg = SolveConfig(p=p, K=K, max_iter=200, init_perturbation=0.05, rng_seed=1)
+    rep = solve(domain, p, cfg)
+    ground = solve(domain, p, SolveConfig(p=p, K=K))
+    assert rep.converged, rep.detail
+    assert rep.I0 == pytest.approx(ground.I0, rel=1e-12)
+
+
+def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch):
+    # a least-squares solve that returns nan makes every mixed iterate
+    # unnormalizable, so each step clears the history and takes the plain step
+    calls = []
+
+    def nan_lstsq(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        return (np.full(a.shape[1], np.nan),)
+
+    mixed = solve(UNIT_INTERVAL, 2.0, cfg_1d())
+    monkeypatch.setattr(nonlinear.np.linalg, "lstsq", nan_lstsq)
+    plain = solve(UNIT_INTERVAL, 2.0, cfg_1d())
+    assert calls
+    assert all(shape[1] == 1 for shape in calls)  # the history never grows
+    assert plain.converged
+    assert plain.iterations > mixed.iterations
+    assert plain.I0 == pytest.approx(mixed.I0, rel=1e-12)
 
 
 def test_solve_is_deterministic():
