@@ -27,7 +27,6 @@ from .extension import (
     ExtremalProfile,
     TruncationError,
     best_trace_constant,
-    dirichlet_energy,
     dtn_fd,
     evaluate_extension,
     extremal_quotient,
@@ -50,9 +49,9 @@ from .spectral import (
     apply_A_half,
     apply_B_half,
     apply_inv_laplacian,
+    dirichlet_energy,
     hardy_quotient,
     synthesize,
-    v0_norm_sq,
 )
 from .verification import (
     CheckReport,
@@ -111,6 +110,5 @@ __all__ = [
     "stability_margin",
     "sweep",
     "synthesize",
-    "v0_norm_sq",
     "__version__",
 ]

@@ -142,45 +142,28 @@ class EigenBasis:
     factors[a] holds rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on axis
     a's nodes, and factor_rows[a] holds each mode's zero-based row in factors[a].
     An interval's single factor is its K modes themselves. The factors are read
-    only here, by to_grid and to_coeffs, the coefficient/grid transform; the
-    dense view matrix is built from them on demand.
+    only here, by to_grid and to_coeffs, the coefficient/grid transform.
     """
 
     domain: DiscreteDomain
-    K: int
     lambdas: np.ndarray
-    sqrt_lambdas: np.ndarray
     factors: tuple[np.ndarray, ...]
     factor_rows: tuple[np.ndarray, ...]
 
+    @property
+    def K(self) -> int:
+        """Mode count."""
+        return self.lambdas.size
+
     @cached_property
-    def mode_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Per-axis sine indices of each eigenfunction."""
-        return tuple(zip(*((rows + 1).tolist() for rows in self.factor_rows)))
+    def sqrt_lambdas(self) -> np.ndarray:
+        """Square roots of the eigenvalues, the symbol of the square-root operator."""
+        return _freeze(np.sqrt(self.lambdas))
 
     @property
     def max_indices(self) -> tuple[int, ...]:
         """Largest sine index used on each axis."""
         return tuple(f.shape[0] for f in self.factors)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense read-only K x num_nodes array of the sampled modes, row by row.
-
-        Built from the factors on every access; no transform uses it.
-        """
-        picked = [f[rows] for f, rows in zip(self.factors, self.factor_rows)]
-        if len(picked) == 1:
-            dense = picked[0]
-        else:
-            dense = (picked[0][:, :, None] * picked[1][:, None, :]).reshape(self.K, -1)
-        dense.flags.writeable = False
-        return dense
-
-    @property
-    def modes(self) -> tuple[GridFn, ...]:
-        """The eigenfunctions as GridFns."""
-        return tuple(GridFn(self.domain, row) for row in self.matrix)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
@@ -222,8 +205,7 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     Interval (0, L): lambda_k = (k pi / L)^2 with mode sqrt(2/L) sin(k pi x / L),
     stored as one K x (N-1) factor. Rectangle: tensor products, eigenvalues
     summed per axis, sorted ascending with lexicographic (j, k) tie-break; the
-    basis stores one sine factor per axis up to the largest index used, and
-    EigenBasis.matrix builds the dense modes on demand. Requires
+    basis stores one sine factor per axis up to the largest index used. Requires
     K <= min(grid_counts) - 1; higher sine indices alias on the grid (mode N
     vanishes identically).
     """
@@ -262,14 +244,7 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     # the factors and rows are built here, so they are frozen in place rather than copied
     for arr in factors + rows:
         arr.flags.writeable = False
-    return EigenBasis(
-        domain=domain,
-        K=K,
-        lambdas=_freeze(lambdas),
-        sqrt_lambdas=_freeze(np.sqrt(lambdas)),
-        factors=factors,
-        factor_rows=rows,
-    )
+    return EigenBasis(domain=domain, lambdas=_freeze(lambdas), factors=factors, factor_rows=rows)
 
 
 def boundary_distance(domain: DiscreteDomain) -> GridFn:

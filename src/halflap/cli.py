@@ -24,10 +24,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .basis import (
-    AliasingError,
     DiscreteDomain,
     DomainError,
-    DomainMismatchError,
     GridFn,
     eigenpairs,
     make_interval,
@@ -446,7 +444,7 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DomainError, AliasingError, DomainMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

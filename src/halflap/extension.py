@@ -3,9 +3,9 @@
 The extension of a trace function with coefficients b_k is
 v(x, y) = sum b_k phi_k(x) exp(-sqrt(lambda_k) y); it is harmonic on
 domain x (0, inf), vanishes on the lateral boundary, and its Dirichlet energy
-has the closed form sum b_k^2 sqrt(lambda_k). The outward normal derivative of
-v at the base recovers the square-root operator, which the finite-difference
-map dtn_fd approximates at first order in the height step.
+is spectral.dirichlet_energy, sum b_k^2 sqrt(lambda_k). The outward normal
+derivative of v at the base recovers the square-root operator, which the
+finite-difference map dtn_fd approximates at first order in the height step.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GridFn
-from .spectral import SpectralFn, synthesize, v0_norm_sq
+from .spectral import SpectralFn, synthesize
 
 
 class TruncationError(ValueError):
@@ -29,11 +29,6 @@ def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
         raise ValueError("extension height must be nonnegative")
     decay = np.exp(-f.basis.sqrt_lambdas * y)
     return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs * decay))
-
-
-def dirichlet_energy(f: SpectralFn) -> float:
-    """Dirichlet energy of the harmonic extension: sum b_k^2 sqrt(lambda_k)."""
-    return v0_norm_sq(f)
 
 
 def dtn_fd(f: SpectralFn, h: float) -> GridFn:

@@ -12,8 +12,9 @@ normalized ground mode and accelerates the map by Anderson mixing of depth
 ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal.
 49, 2011): each step combines the last plain steps so that their residuals
 cancel in the least-squares sense, and renormalizes the combination. A
-combination that cannot be renormalized clears the history and the plain step
-is taken instead. The solve reports the iterate with the smallest projected
+combination that cannot be renormalized, or a step whose residual exceeds
+ANDERSON_RESTART times the best so far, clears the history and takes the
+plain step instead. The solve reports the iterate with the smallest projected
 residual, and stops at 1e-2 * tol_residual, at max_iter steps, or after
 STALL_STEPS steps without a new best residual.
 """
@@ -47,6 +48,9 @@ NEAR_CRITICAL_BAND = 0.05
 STALL_STEPS = 20
 # plain-step differences the Anderson mixing combines
 ANDERSON_DEPTH = 5
+# a measured residual this many times the best restarts the mixing; a stale
+# history can keep the residual wandering at order one until the stall stop
+ANDERSON_RESTART = 2.0
 
 
 class ConfigError(ValueError):
@@ -242,8 +246,9 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     Each step maps the iterate b to the plain step g = normalize(B_half P(u^p))
     and mixes it with the last ANDERSON_DEPTH differences of g and of the
     residual f = g - b; the mixed iterate is renormalized to the constraint
-    sphere, or, if that scale is zero or nonfinite, replaced by g with the
-    history cleared.
+    sphere. If that scale is zero or nonfinite, or the measured residual is
+    above ANDERSON_RESTART times the best, the step is g and the history is
+    cleared.
 
     Returns (best, steps, stop). best is (I0, u coefficients, grid values,
     clipped power, projected residual) of the iterate with the smallest
@@ -287,7 +292,7 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
             del dg[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
         g_prev, f_prev = g, f
         b = g
-        if df:
+        if df and res <= ANDERSON_RESTART * best_res:
             # the combination of the recent plain steps whose residuals best
             # cancel, by least squares over the residual differences
             gamma = np.linalg.lstsq(np.array(df).T, f)[0]
@@ -295,10 +300,11 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
             mixed_scale = _constraint_scale(basis.to_grid(mixed), wq, p)
             if 0.0 < mixed_scale < math.inf:
                 b = mixed / mixed_scale
-            else:
-                # a degenerate combination restarts the history from the plain step
-                dg.clear()
-                df.clear()
+        if b is g:
+            # a stagnated mixing or a degenerate combination takes the plain
+            # step and restarts the history from it
+            dg.clear()
+            df.clear()
         step += 1
 
 

@@ -11,6 +11,9 @@ an ulp, while a net half-power of zero returns the original coefficients.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from functools import cached_property
+
 import numpy as np
 
 from .basis import DomainMismatchError, EigenBasis, GridFn, boundary_distance
@@ -20,6 +23,7 @@ class UndefinedQuotientError(ValueError):
     """Quotient of a zero function is undefined."""
 
 
+@dataclass(frozen=True, eq=False)
 class SpectralFn:
     """Trace function as coefficients b_k against an eigenbasis.
 
@@ -27,53 +31,37 @@ class SpectralFn:
     finite, which is the finite-K form of membership in the trace space.
     """
 
-    __slots__ = ("basis", "_base", "_half_power", "_cache")
+    basis: EigenBasis
+    _base: np.ndarray
+    _half_power: int = 0
 
-    def __init__(self, basis: EigenBasis, coeffs, _half_power: int = 0):
-        base = np.array(coeffs, dtype=float)
-        if base.shape != (basis.K,):
+    def __post_init__(self):
+        base = np.array(self._base, dtype=float)
+        if base.shape != (self.basis.K,):
             raise DomainMismatchError(
-                f"coefficient count {base.size} must equal the basis mode count {basis.K}"
+                f"coefficient count {base.size} must equal the basis mode count {self.basis.K}"
             )
         if not np.all(np.isfinite(base)):
             raise ValueError("coefficients must be finite")
         base.flags.writeable = False
-        self.basis = basis
-        self._base = base
-        self._half_power = int(_half_power)
-        self._cache = None
+        object.__setattr__(self, "_base", base)
 
-    @classmethod
-    def _shifted(cls, f: "SpectralFn", delta: int) -> "SpectralFn":
-        out = object.__new__(cls)
-        out.basis = f.basis
-        out._base = f._base
-        out._half_power = f._half_power + delta
-        out._cache = None
-        return out
-
-    @property
+    @cached_property
     def coeffs(self) -> np.ndarray:
         """Materialized coefficients b_k * lambda_k^(half_power / 2), read-only."""
-        if self._cache is None:
-            p = self._half_power
-            if p == 0:
-                self._cache = self._base
-            else:
-                q, r = divmod(abs(p), 2)
-                factor = None
-                if q:
-                    factor = self.basis.lambdas if q == 1 else self.basis.lambdas**q
-                if r:
-                    factor = (
-                        self.basis.sqrt_lambdas
-                        if factor is None
-                        else factor * self.basis.sqrt_lambdas
-                    )
-                out = self._base * factor if p > 0 else self._base / factor
-                out.flags.writeable = False
-                self._cache = out
-        return self._cache
+        p = self._half_power
+        if p == 0:
+            return self._base
+        q, r = divmod(abs(p), 2)
+        factor = None
+        if q:
+            factor = self.basis.lambdas if q == 1 else self.basis.lambdas**q
+        if r:
+            s = self.basis.sqrt_lambdas
+            factor = s if factor is None else factor * s
+        out = self._base * factor if p > 0 else self._base / factor
+        out.flags.writeable = False
+        return out
 
     def __repr__(self) -> str:
         return f"SpectralFn(K={self.basis.K}, half_power={self._half_power})"
@@ -93,21 +81,21 @@ def synthesize(f: SpectralFn) -> GridFn:
 
 def apply_A_half(f: SpectralFn) -> SpectralFn:
     """Square root of the Dirichlet Laplacian: multiply b_k by sqrt(lambda_k)."""
-    return SpectralFn._shifted(f, +1)
+    return replace(f, _half_power=f._half_power + 1)
 
 
 def apply_B_half(f: SpectralFn) -> SpectralFn:
     """Inverse of the square-root operator: divide b_k by sqrt(lambda_k)."""
-    return SpectralFn._shifted(f, -1)
+    return replace(f, _half_power=f._half_power - 1)
 
 
 def apply_inv_laplacian(f: SpectralFn) -> SpectralFn:
     """Inverse Dirichlet Laplacian: divide b_k by lambda_k."""
-    return SpectralFn._shifted(f, -2)
+    return replace(f, _half_power=f._half_power - 2)
 
 
-def v0_norm_sq(f: SpectralFn) -> float:
-    """Energy seminorm squared: sum b_k^2 sqrt(lambda_k)."""
+def dirichlet_energy(f: SpectralFn) -> float:
+    """Dirichlet energy of the harmonic extension, the trace seminorm sum b_k^2 sqrt(lambda_k)."""
     c = f.coeffs
     return float(np.sum(c * c * f.basis.sqrt_lambdas))
 
@@ -123,4 +111,4 @@ def hardy_quotient(f: SpectralFn) -> float:
     u = synthesize(f)
     d = boundary_distance(f.basis.domain)
     num = float(np.sum(u.values * u.values / d.values) * f.basis.domain.weight)
-    return num / v0_norm_sq(f)
+    return num / dirichlet_energy(f)

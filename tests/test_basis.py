@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 import halflap
 from halflap import (
     AliasingError,
@@ -74,12 +76,13 @@ def test_interval_eigenvalues_are_squared_multiples():
 def test_square_ground_eigenvalue():
     basis = eigenpairs(make_rectangle(1.0, 1.0, 16, 16), 1)
     assert basis.lambdas[0] == pytest.approx(2.0 * math.pi**2, rel=1e-15)
-    assert basis.mode_indices[0] == (1, 1)
+    assert [rows[0] + 1 for rows in basis.factor_rows] == [1, 1]
 
 
 def test_discrete_orthonormality():
     basis = eigenpairs(make_interval(1.0, 256), 32)
-    gram = (basis.matrix * basis.domain.weight) @ basis.matrix.T
+    modes = np.array([basis.to_grid(e) for e in np.eye(32)])
+    gram = (modes * basis.domain.weight) @ modes.T
     assert np.max(np.abs(gram - np.eye(32))) <= ORTHO_TOL
 
 
@@ -95,14 +98,25 @@ def test_to_coeffs_inverts_to_grid(domain, K):
     assert np.max(np.abs(basis.to_coeffs(values) - b)) <= ORTHO_TOL * np.max(np.abs(b))
 
 
+def _brute_force_modes(dims, K):
+    """(eigenvalue, j, k) of the first K modes, sorting every index pair the grid holds."""
+    L1, L2, N1, N2 = dims
+    return sorted(
+        ((j * math.pi / L1) ** 2 + (k * math.pi / L2) ** 2, j, k)
+        for j in range(1, N1)
+        for k in range(1, N2)
+    )[:K]
+
+
 @pytest.mark.parametrize(
     "dims, K",
     [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)],
 )
 def test_separable_transform_matches_dense_modes(dims, K):
-    # the square has eigenvalue ties; each case takes its largest allowed K
+    # the square has eigenvalue ties; each case takes its largest allowed K.
+    # The dense modes are closed-form product sines of the brute-force pairs.
     basis = eigenpairs(make_rectangle(*dims), K)
-    dense = basis.matrix
+    dense = ref.product_sine_matrix(*dims, [(j, k) for _, j, k in _brute_force_modes(dims, K)])
     rng = np.random.default_rng(11)
     b = rng.standard_normal(K)
     values = rng.standard_normal(basis.domain.num_nodes)
@@ -161,8 +175,8 @@ def test_weight_computed_once_per_domain(monkeypatch):
 def test_only_basis_reads_the_mode_matrix():
     # every coefficient/grid transform goes through EigenBasis.to_grid and
     # to_coeffs, so a new representation of the modes changes basis.py alone;
-    # that covers the dense view and the per-axis factors and their rows
-    owned = {"matrix", "factors", "factor_rows"}
+    # that covers the per-axis factors and their rows
+    owned = {"factors", "factor_rows"}
     readers = []
     for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
         if path.name == "basis.py":
@@ -171,6 +185,16 @@ def test_only_basis_reads_the_mode_matrix():
             if isinstance(node, ast.Attribute) and node.attr in owned:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_dunder_all_matches_the_public_package_names():
+    # __all__ and the package imports are two lists of one set of names
+    bound = {
+        name
+        for name, value in vars(halflap).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(halflap.__all__) == sorted(bound | {"__version__"})
 
 
 def test_mode_count_bounds():
@@ -210,23 +234,19 @@ def test_rectangle_eigenvalues_positive_and_sorted(L1, L2, K):
 )
 def test_rectangle_mode_order_matches_brute_force(dims, K):
     # ascending eigenvalue, ties (j <-> k on the square) broken by j, then k
-    L1, L2, N1, N2 = dims
-    brute = sorted(
-        ((j * math.pi / L1) ** 2 + (k * math.pi / L2) ** 2, j, k)
-        for j in range(1, N1)
-        for k in range(1, N2)
-    )[:K]
+    brute = _brute_force_modes(dims, K)
     basis = eigenpairs(make_rectangle(*dims), K)
-    assert basis.mode_indices == tuple((j, k) for _, j, k in brute)
+    indices = np.stack(basis.factor_rows, axis=1) + 1
+    assert indices.tolist() == [[j, k] for _, j, k in brute]
     np.testing.assert_allclose(basis.lambdas, [lam for lam, _, _ in brute], rtol=1e-15)
-    if L1 == L2:
+    if dims[0] == dims[1]:
         assert len(set(basis.lambdas.tolist())) < K  # the case has ties to break
 
 
 def test_basis_arrays_are_read_only():
     for domain in (make_rectangle(1.0, 1.0, 16, 16), make_interval(1.0, 64)):
         basis = eigenpairs(domain, 8)
-        arrays = (basis.lambdas, basis.sqrt_lambdas, basis.matrix)
+        arrays = (basis.lambdas, basis.sqrt_lambdas)
         for arr in arrays + basis.factors + basis.factor_rows:
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -269,7 +289,7 @@ def test_boundary_distance_nonnegative_and_symmetric(L, N):
 def test_inner_product_of_modes():
     dom = make_interval(1.0, 256)
     basis = eigenpairs(dom, 2)
-    phi1, phi2 = basis.modes
+    phi1, phi2 = (GridFn(dom, basis.to_grid(e)) for e in np.eye(2))
     assert inner_product(phi1, phi1) == pytest.approx(1.0, abs=1e-13)
     assert inner_product(phi1, phi2) == pytest.approx(0.0, abs=1e-13)
 

@@ -19,7 +19,6 @@ from halflap import (
     extremal_quotient,
     make_interval,
     synthesize,
-    v0_norm_sq,
 )
 
 
@@ -77,13 +76,6 @@ def test_dirichlet_energy_single_modes():
     basis = unit_basis()
     assert dirichlet_energy(mode(basis, 1)) == pytest.approx(math.pi, rel=1e-15)
     assert dirichlet_energy(mode(basis, 2, amp=2.0)) == pytest.approx(8.0 * math.pi, rel=1e-15)
-
-
-def test_dirichlet_energy_is_the_trace_form():
-    basis = unit_basis()
-    rng = np.random.default_rng(4)
-    f = SpectralFn(basis, rng.standard_normal(32))
-    assert dirichlet_energy(f) == v0_norm_sq(f)
 
 
 def test_dtn_fd_first_order_on_ground_mode():

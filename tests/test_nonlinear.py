@@ -249,6 +249,17 @@ def test_perturbed_start_converges_to_the_ground_solution(domain, K, p):
     assert rep.I0 == pytest.approx(ground.I0, rel=1e-12)
 
 
+def test_stagnating_mixing_restarts_and_converges():
+    # from this perturbed start of 1024/K256 at p = 5 the mixed residual
+    # wanders between 0.3 and 2 unless the history is cleared, and the solve
+    # ends unconverged at the stall stop
+    domain, K, p, I0 = GROUND_I0[7]
+    cfg = SolveConfig(p=p, K=K, init_perturbation=0.05, rng_seed=1095513148)
+    rep = solve(domain, p, cfg)
+    assert rep.converged, rep.detail
+    assert rep.I0 == pytest.approx(I0, rel=1e-12)
+
+
 def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch):
     # a least-squares solve that returns nan makes every mixed iterate
     # unnormalizable, so each step clears the history and takes the plain step
