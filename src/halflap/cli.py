@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -82,44 +83,40 @@ _SOLVER = (
 # used when neither the flag nor the config file sets the option
 _DEFAULTS = {"modes": 64, "mp_samples": 10, "c_minus": 0.0}
 
+# The one float format of reports: "%.17g" % x is format(x, ".17g") for every double, nan
+# and inf included. Tables are formatted _BLOCK_ROWS rows per string to bound the text held.
+_FLOAT = "%.17g"
+_BLOCK_ROWS = 1024
 
-def _json_write(obj, out: list) -> None:
+
+def _float_blocks(table: np.ndarray, left: str, right: str, sep: str = ""):
+    """Blocks of rows `left + cells joined by "," + right`; rows and blocks join by sep."""
+    row = left + ",".join([_FLOAT] * table.shape[1]) + right
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _json(obj) -> str:
+    """Compact JSON text of a report: sorted keys, floats at 17 digits, nonfinite as null."""
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append(format(x, ".17g") if math.isfinite(x) else "null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _json_write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _json_write(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _json_dumps(obj) -> str:
-    out: list = []
-    _json_write(obj, out)
-    out.append("\n")
-    return "".join(out)
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _FLOAT % obj if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _json(obj[k]) for k in sorted(obj)) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        if np.isfinite(obj).all():  # else each cell below, nonfinite ones as null
+            return "[" + ",".join(_float_blocks(obj, "[", "]", ",")) + "]"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_json(item) for item in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 @contextmanager
@@ -137,20 +134,22 @@ def _csv_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")  # nonfinite values print as nan, inf, -inf
+        return _FLOAT % float(v)  # nonfinite values print as nan, inf, -inf
     return str(v)
 
 
 def _write_csv(fh, header: list[str], rows) -> None:
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    if isinstance(rows, np.ndarray):
+        fh.writelines(_float_blocks(rows, "", "\n"))
+    else:
+        fh.writelines(",".join(_csv_cell(v) for v in row) + "\n" for row in rows)
 
 
-def _plot_table(u: GridFn) -> tuple[list[str], list[list]]:
-    """Column names and rows (node coordinates, then the value) of a grid function."""
+def _plot_table(u: GridFn) -> tuple[list[str], np.ndarray]:
+    """Column names and a float table: one row per node, its coordinates, then the value."""
     header = ["x", "u"] if u.domain.n == 1 else ["x1", "x2", "u"]
-    return header, [list(c) + [v] for c, v in zip(u.domain.node_coords(), u.values)]
+    return header, np.column_stack((u.domain.node_coords(), u.values))
 
 
 def _load_config(path: str, known) -> dict:
@@ -396,6 +395,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halflap",
@@ -418,9 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handler, default_format = _COMMANDS[args.command][:2]
@@ -437,7 +436,7 @@ def run(argv) -> int:
         code, doc, header, rows = handler(args, domain)
         with _open_output(args.output) as fh:
             if (args.format or default_format) == "json":
-                fh.write(_json_dumps(doc))
+                fh.write(_json(doc) + "\n")
             else:
                 _write_csv(fh, header, rows)
         return code

@@ -24,9 +24,11 @@ class TruncationError(ValueError):
 
 
 def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
-    """Horizontal slice of the harmonic extension at height y >= 0."""
+    """Horizontal slice of the harmonic extension at a finite height y >= 0."""
     if y < 0:
         raise ValueError("extension height must be nonnegative")
+    if not math.isfinite(y):
+        raise ValueError(f"extension height y must be finite, got {y}")
     decay = np.exp(-f.basis.sqrt_lambdas * y)
     return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs * decay))
 

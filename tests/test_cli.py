@@ -1,13 +1,19 @@
 """Command-line interface: subcommands, config merging, exit codes, output."""
 
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from halflap.cli import run
+from halflap import SpectralFn, eigenpairs, evaluate_extension, make_interval, make_rectangle
+from halflap.cli import _csv_cell, _json, _write_csv, run
 
 
 def run_capture(argv, capsys):
@@ -432,3 +438,80 @@ def test_report_bytes_are_frozen(command, fmt, tmp_path):
     path = tmp_path / f"report.{fmt}"
     assert run(command.split() + ["--format", fmt, "--output", str(path)]) == 0
     assert path.read_bytes() == FROZEN_REPORTS[command, fmt]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_extend_rejects_nonfinite_height(value, capsys):
+    code = run(["extend", "--domain", "interval:1:8", "--modes", "2", "--mode", "1",
+                "--y", value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"extension height y must be finite, got {value}" in captured.err
+
+
+def _cell(x) -> str:
+    return format(float(x), ".17g")
+
+
+# (domain spec, domain, header); the rectangle's 1833 rows span two formatting blocks
+EXTEND_DOMAINS = [
+    ("interval:1:64", make_interval(1.0, 64), ["x", "u"]),
+    ("rectangle:2:1:48:40", make_rectangle(2.0, 1.0, 48, 40), ["x1", "x2", "u"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("spec, domain, header", EXTEND_DOMAINS)
+def test_extend_bytes_match_the_cell_by_cell_layout(spec, domain, header, fmt, tmp_path):
+    # extend's values depend on libm, so the expected bytes are built here from
+    # the library's own numbers, one row per node: coordinates, then the value
+    y = 0.3
+    b = np.zeros(8)
+    b[2] = 1.0
+    values = evaluate_extension(SpectralFn(eigenpairs(domain, 8), b), y).values
+    rows = [[_cell(c) for c in coords] + [_cell(v)]
+            for coords, v in zip(domain.node_coords(), values)]
+    if fmt == "csv":
+        want = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    else:
+        want = (
+            '{"columns":' + json.dumps(header, separators=(",", ":"))
+            + ',"rows":[' + ",".join("[" + ",".join(r) + "]" for r in rows) + "]"
+            + ',"y":' + _cell(y) + "}\n"
+        )
+    path = tmp_path / f"extend.{fmt}"
+    assert run(["extend", "--domain", spec, "--modes", "8", "--mode", "3", "--y", str(y),
+                "--format", fmt, "--output", str(path)]) == 0
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 3)),
+              elements=st.floats(width=64)))
+@settings(max_examples=50, deadline=None)
+def test_float_tables_print_every_double_as_format_17g(table):
+    header = ["c"] * table.shape[1]
+    cells = [[_cell(x) for x in row] for row in table]
+    buf = io.StringIO()
+    _write_csv(buf, header, table)
+    assert buf.getvalue() == "".join(",".join(r) + "\n" for r in [header] + cells)
+    finite = [[c if math.isfinite(x) else "null" for c, x in zip(r, row)]
+              for r, row in zip(cells, table)]
+    assert _json(table) == "[" + ",".join("[" + ",".join(r) + "]" for r in finite) + "]"
+    for x in table.ravel():
+        assert _csv_cell(x) == _cell(x)
+        assert _json(x) == (_cell(x) if math.isfinite(x) else "null")
+
+
+def test_parser_reused_after_failed_runs_gives_fresh_process_bytes(tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("domain = interval:1:64\np = 2\ncolour = red\n")
+    assert run(["solve", "--domain", "interval:1:64", "--p", "two"]) == 2
+    assert run(["solve", "--config", str(bad_cfg)]) == 2
+    capsys.readouterr()
+    argv = ["solve", "--domain", "interval:1:64", "--p", "2", "--modes", "16", "--seed", "3"]
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert run(argv + ["--output", str(here)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "halflap", *argv, "--output", str(fresh)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert here.read_bytes() == fresh.read_bytes()
