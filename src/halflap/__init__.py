@@ -4,7 +4,7 @@ The package builds the Dirichlet sine eigenbasis on uniform grids, applies the
 half Laplacian and its inverse diagonally in that basis, evaluates the
 harmonic extension to the half cylinder with its Dirichlet energy and
 Dirichlet-to-Neumann map, solves the power nonlinearity problem by the
-Anderson-accelerated normalized fixed-point iteration from the ground mode,
+Anderson-accelerated Petviashvili iteration from the ground mode,
 and verifies qualitative properties (positivity, symmetry, monotonicity,
 maximum principles, boundary derivative sign, spectral stability margin) on
 the computed solutions.

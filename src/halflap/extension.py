@@ -41,6 +41,8 @@ def dtn_fd(f: SpectralFn, h: float) -> GridFn:
     """
     if h <= 0:
         raise ValueError("height step h must be positive")
+    if not math.isfinite(h):
+        raise ValueError(f"height step h must be finite, got {h}")
     base = synthesize(f)
     lifted = evaluate_extension(f, h)
     return GridFn(f.basis.domain, -(lifted.values - base.values) / h)

@@ -3,20 +3,20 @@
 The solver finds u > 0 vanishing on the boundary with A_half u = u^p. The
 positive solution is the minimizer of the extension energy sum b_k^2
 sqrt(lambda_k) over trace functions with unit L^(p+1) norm, scaled by
-I0^(1/(p-1)) where I0 is the minimum energy. It is the fixed point of the
-normalized (Petviashvili) map w <- B_half(projection of u^p), with u =
-I0(w)^(1/(p-1)) w and the image renormalized to the constraint sphere: the
-unnormalized map is radially repelling with amplitude factor p > 1, so the
-renormalization is what makes the map contract. The iteration starts from the
-normalized ground mode and accelerates the map by Anderson mixing of depth
-ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal.
-49, 2011): each step combines the last plain steps so that their residuals
-cancel in the least-squares sense, and renormalizes the combination. A
-combination that cannot be renormalized, or a step whose residual exceeds
-ANDERSON_RESTART times the best so far, clears the history and takes the
-plain step instead. The solve reports the iterate with the smallest projected
-residual, and stops at 1e-2 * tol_residual, at max_iter steps, or after
-STALL_STEPS steps without a new best residual.
+I0^(1/(p-1)) where I0 is the minimum energy. It is the fixed point of
+Petviashvili's iteration u <- M^(p/(p-1)) B_half(projection of u^p), with the
+Nehari ratio M = <A_half u, u> / <projection of u^p, u> (Petviashvili, Sov. J.
+Plasma Phys. 2, 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42, 2004).
+The plain map is radially repelling with amplitude factor p > 1; on c u* the
+factor is c^(-p), which removes that direction, and at a solution it is 1. The
+iteration starts from the ground mode and is accelerated by Anderson mixing of
+depth ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011): each step combines the last plain steps so that their
+residuals cancel in the least-squares sense. A nonfinite combination, or a
+step whose residual exceeds ANDERSON_RESTART times the best so far, clears the
+history and takes the plain step instead. The solve reports the iterate with
+the smallest projected residual, and stops at 1e-2 * tol_residual, at max_iter
+steps, or after STALL_STEPS steps without a new best residual.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .verification import check_symmetry
 MIN_EXPONENT = 1.1
 # runs within this fraction of the critical exponent need the override flag
 NEAR_CRITICAL_BAND = 0.05
-# steps without a new best residual before the iteration gives up: near the
-# round-off floor the residual can wander on a plateau above the target (4e-11
-# to 1e-10 on 2:1 rectangles at p = 2.5, against 1e-11) and would spin to max_iter
+# steps without a new best residual before the iteration gives up: a safety
+# stop, so a residual that wanders on a plateau above the target ends the solve
+# instead of spinning to max_iter
 STALL_STEPS = 20
 # plain-step differences the Anderson mixing combines
 ANDERSON_DEPTH = 5
@@ -241,68 +241,61 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
 
 
 def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
-    """Anderson-mixed normalized fixed-point iteration from the (perturbed) ground mode.
+    """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
 
-    Each step maps the iterate b to the plain step g = normalize(B_half P(u^p))
-    and mixes it with the last ANDERSON_DEPTH differences of g and of the
-    residual f = g - b; the mixed iterate is renormalized to the constraint
-    sphere. If that scale is zero or nonfinite, or the measured residual is
-    above ANDERSON_RESTART times the best, the step is g and the history is
-    cleared.
+    Each step maps the coefficients u to the plain step
+    g = M^(p/(p-1)) B_half P(u^p), where M = sum sqrt(lambda) u^2 / (u . P(u^p))
+    is the Nehari ratio, and mixes g with the last ANDERSON_DEPTH differences
+    of g and of the residual f = g - u. If the mix is nonfinite, or the
+    measured residual is above ANDERSON_RESTART times the best, the step is g
+    and the history is cleared.
 
-    Returns (best, steps, stop). best is (I0, u coefficients, grid values,
-    clipped power, projected residual) of the iterate with the smallest
-    projected residual, or None after a nonfinite iterate; stop is "" when the
-    target was met, else the reason the iteration ended.
+    Returns (best, steps, stop). best is (u coefficients, grid values, clipped
+    power, projected residual) of the iterate with the smallest projected
+    residual, or None after a nonfinite iterate; stop is "" when the target
+    was met, else the reason the iteration ended.
     """
     s = basis.sqrt_lambdas
-    wq = basis.domain.weight
     w = basis.to_grid(np.eye(1, basis.K)[0])  # the ground mode
     if cfg.init_perturbation > 0:
         rng = np.random.default_rng(cfg.rng_seed)
         w = w + cfg.init_perturbation * basis.to_grid(rng.standard_normal(basis.K))
-    w = np.abs(w)
-    w /= _constraint_scale(w, wq, p)
-    b = basis.to_coeffs(w)
+    u = basis.to_coeffs(np.abs(w))
     target = max(cfg.tol_residual * 1e-2, 1e-14)
     best, best_res, best_step = None, math.inf, 0
     dg, df = [], []  # differences of the last plain steps and of their residuals
     step = 0
     while True:
-        I0 = float(np.sum(b * b * s))
-        ub = I0 ** (1.0 / (p - 1.0)) * b
-        grid, power, Pb, res = _evaluate(basis, ub, p)
+        grid, power, Pu, res = _evaluate(basis, u, p)
         if res < best_res:
-            best, best_res, best_step = (I0, ub, grid, power, res), res, step
+            best, best_res, best_step = (u, grid, power, res), res, step
         if best_res <= target:
             return best, step, ""
         if step == cfg.max_iter:
             return best, step, f"iteration cap max_iter = {cfg.max_iter} reached"
         if step - best_step >= STALL_STEPS:
             return best, step, f"no new best residual in {STALL_STEPS} steps"
-        z = Pb / s
-        scale = _constraint_scale(basis.to_grid(z), wq, p)
-        if not 0.0 < scale < math.inf:
+        nehari = float(u @ Pu)
+        if not 0.0 < nehari < math.inf:
             return None, step, "fixed-point iteration produced a nonfinite iterate"
-        g = z / scale  # the plain step
-        f = g - b
+        g = (float(np.sum(s * u * u)) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
+        f = g - u
         if step > 0:
             dg.append(g - g_prev)
             df.append(f - f_prev)
             del dg[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
         g_prev, f_prev = g, f
-        b = g
+        u = g
         if df and res <= ANDERSON_RESTART * best_res:
             # the combination of the recent plain steps whose residuals best
             # cancel, by least squares over the residual differences
             gamma = np.linalg.lstsq(np.array(df).T, f)[0]
             mixed = g - gamma @ np.array(dg)
-            mixed_scale = _constraint_scale(basis.to_grid(mixed), wq, p)
-            if 0.0 < mixed_scale < math.inf:
-                b = mixed / mixed_scale
-        if b is g:
-            # a stagnated mixing or a degenerate combination takes the plain
-            # step and restarts the history from it
+            if np.all(np.isfinite(mixed)):
+                u = mixed
+        if u is g:
+            # a stagnated or nonfinite mixing takes the plain step and
+            # restarts the history from it
             dg.clear()
             df.clear()
         step += 1
@@ -319,9 +312,12 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     best, steps, stop = _fixed_point(basis, p, cfg)
     if best is None:
         return _diverged_report(domain, p, cfg, stop)
-    I0, u_coeffs, grid, power, projected = best
+    u_coeffs, grid, power, projected = best
     u_grid = GridFn(domain, grid)
     converged = bool(projected <= cfg.tol_residual)
+    # the extension energy over the squared L^(p+1) norm, which is scale free
+    energy = float(np.sum(basis.sqrt_lambdas * u_coeffs * u_coeffs))
+    I0 = energy / _constraint_scale(grid, domain.weight, p) ** 2
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
         solution_grid=u_grid,

@@ -107,6 +107,9 @@ def test_dtn_fd_rejects_nonpositive_step():
     basis = unit_basis()
     with pytest.raises(ValueError):
         dtn_fd(mode(basis, 1), 0.0)
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"\bh\b"):
+            dtn_fd(mode(basis, 1), h)
 
 
 def test_trace_constant_dimension_two():

@@ -189,10 +189,8 @@ def test_solve_defect_decreases_under_refinement():
 def test_solve_2d_symmetric_in_both_axes():
     cases = [
         (UNIT_SQUARE, 2.0, True),
-        # the residual plateaus above the 1e-2 * tol_residual target here, so
-        # only the stall stop ends the iteration before max_iter; the K = 60
-        # truncation undershoots zero near the long sides (grid minimum about
-        # -4.2e-3 against sup 4.66), so positivity is not asserted
+        # the K = 60 truncation undershoots zero near the long sides (grid
+        # minimum about -4.2e-3 against sup 4.66), so positivity is not asserted
         (make_rectangle(2.0, 1.0, 128, 64), 2.5, False),
     ]
     for domain, p, positive in cases:
@@ -241,7 +239,7 @@ def test_ground_start_converges_in_few_steps(domain, K, p, I0):
 )
 def test_perturbed_start_converges_to_the_ground_solution(domain, K, p):
     # the perturbation excites the antisymmetric modes, which the plain
-    # normalized map contracts slowly (over 200 steps on each of these cases)
+    # Petviashvili step contracts slowly (over 200 steps on each of these cases)
     cfg = SolveConfig(p=p, K=K, max_iter=200, init_perturbation=0.05, rng_seed=1)
     rep = solve(domain, p, cfg)
     ground = solve(domain, p, SolveConfig(p=p, K=K))
@@ -262,7 +260,7 @@ def test_stagnating_mixing_restarts_and_converges():
 
 def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch):
     # a least-squares solve that returns nan makes every mixed iterate
-    # unnormalizable, so each step clears the history and takes the plain step
+    # nonfinite, so each step clears the history and takes the plain step
     calls = []
 
     def nan_lstsq(a, b, *args, **kwargs):
@@ -277,6 +275,59 @@ def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch):
     assert plain.converged
     assert plain.iterations > mixed.iterations
     assert plain.I0 == pytest.approx(mixed.I0, rel=1e-12)
+
+
+@pytest.mark.parametrize("K, p", [(10, 2.0), (10, 2.5), (30, 2.5), (63, 2.5)])
+def test_truncated_square_dipping_below_zero_converges(K, p):
+    # these truncations dip below zero, where |u|^(p+1) and the clipped power
+    # max(u, 0)^p disagree; a loop that renormalizes each iterate by the L^(p+1)
+    # norm stalls here on a residual plateau above the target
+    rep = solve(UNIT_SQUARE, p, SolveConfig(p=p, K=K))
+    assert rep.converged, rep.detail
+    assert rep.iterations < 60
+
+
+def test_constraint_norm_is_taken_once_per_solve(monkeypatch):
+    calls = []
+    scale = nonlinear._constraint_scale
+
+    def counted(*args):
+        calls.append(args)
+        return scale(*args)
+
+    monkeypatch.setattr(nonlinear, "_constraint_scale", counted)
+    rep = solve(UNIT_INTERVAL, 2.0, cfg_1d())
+    assert rep.converged
+    assert rep.iterations > 1
+    assert len(calls) == 1
+
+
+def test_zero_projection_ends_in_the_nonfinite_report(monkeypatch):
+    # the Nehari ratio divides by u . P(u^p); a zero projection must end the
+    # solve with the diverged report, not a division error or a warning
+    evaluate = nonlinear._evaluate
+
+    def zero_projection(basis, u, p):
+        grid, power, projection, res = evaluate(basis, u, p)
+        return grid, power, np.zeros_like(projection), res
+
+    monkeypatch.setattr(nonlinear, "_evaluate", zero_projection)
+    rep = solve(UNIT_INTERVAL, 2.0, cfg_1d())
+    assert not rep.converged
+    assert rep.solution is None
+    assert "nonfinite iterate" in rep.detail
+
+
+def test_2d_defect_falls_as_modes_grow():
+    # the unprojected defect relative to sup u^p (= sup A_half u) on 64^2 at
+    # p = 2 measured 0.123, 0.065 and 0.021 at K = 15, 30 and 60
+    rel = []
+    for K in (15, 30, 60):
+        rep = solve(UNIT_SQUARE, 2.0, SolveConfig(p=2.0, K=K))
+        assert rep.converged, rep.detail
+        rel.append(rep.equation_defect / rep.sup_norm**2.0)
+    assert all(b <= a for a, b in zip(rel, rel[1:]))
+    assert rel[-1] <= rel[0] / 4
 
 
 def test_solve_is_deterministic():
