@@ -1,13 +1,13 @@
-"""Spectral square root of the Dirichlet Laplacian on intervals and rectangles.
+"""Spectral square root of the Dirichlet Laplacian on intervals, rectangles and boxes.
 
-The package builds the Dirichlet sine eigenbasis on uniform grids, applies the
-half Laplacian and its inverse diagonally in that basis, evaluates the
-harmonic extension to the half cylinder with its Dirichlet energy and
-Dirichlet-to-Neumann map, solves the power nonlinearity problem by the
-Anderson-accelerated Petviashvili iteration from the ground mode,
-and verifies qualitative properties (positivity, symmetry, monotonicity,
-maximum principles, boundary derivative sign, spectral stability margin) on
-the computed solutions.
+The package builds the Dirichlet sine eigenbasis on uniform grids in one to
+three dimensions, applies the half Laplacian and its inverse diagonally in that
+basis, evaluates the harmonic extension to the half cylinder with its Dirichlet
+energy and Dirichlet-to-Neumann map, solves the power nonlinearity problem by
+the Anderson-accelerated Petviashvili iteration from the ground mode, and
+verifies qualitative properties (positivity, symmetry, monotonicity, maximum
+principles, boundary derivative sign, spectral stability margin) on the
+computed solutions.
 """
 
 from .basis import (

@@ -1,21 +1,23 @@
 """Discrete domains, interior grids, quadrature, and the Dirichlet sine eigenbasis.
 
-Domains are intervals (0, L) or axis-aligned rectangles (0, L1) x (0, L2) with a
-uniform grid of interior nodes i*h, i = 1..N-1, h = L/N per axis. Endpoints are
-excluded and every node carries the flat quadrature weight h (or h1*h2). On such
-grids the sampled sine eigenfunctions are exactly discretely orthonormal, which
-keeps every downstream operator identity exactly testable.
+Domains are boxes (0, L1) x ... x (0, Ln), n = 1, 2 or 3 (interval, rectangle,
+box), with a uniform grid of interior nodes i*h, i = 1..N-1, h = L/N per axis.
+Endpoints are excluded and every node carries the flat quadrature weight
+h1*...*hn. On such grids the sampled sine eigenfunctions are exactly discretely
+orthonormal, which keeps every downstream operator identity exactly testable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 MIN_GRID_COUNT = 8
+KINDS = ("interval", "rectangle", "box")
 
 
 class DomainError(ValueError):
@@ -30,6 +32,13 @@ class AliasingError(ValueError):
     """Requested mode count exceeds what the grid can represent."""
 
 
+def as_integer(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """value as an int; a bool or a non-integral number raises error naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -38,31 +47,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteDomain:
-    """Interval or rectangle with a uniform interior grid.
+    """Interval, rectangle or box with a uniform interior grid.
 
-    kind is "interval" or "rectangle"; lengths and grid_counts hold one entry
-    per axis. Axis a has grid_counts[a] subdivisions, so its interior nodes sit
-    at i * lengths[a] / grid_counts[a] for i = 1..grid_counts[a]-1.
+    lengths and grid_counts are tuples of one float and one int per axis, 1 to 3
+    axes, and kind is KINDS[n - 1]. Axis a has grid_counts[a] subdivisions, so its
+    interior nodes sit at i * lengths[a] / grid_counts[a] for i = 1..grid_counts[a]-1.
     """
 
-    kind: str
     lengths: tuple[float, ...]
     grid_counts: tuple[int, ...]
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        expected = {"interval": 1, "rectangle": 2}.get(self.kind)
-        if expected is None:
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if len(self.lengths) != expected or len(self.grid_counts) != expected:
-            raise DomainError(f"{self.kind} needs {expected} length(s) and grid count(s)")
-        if not all(math.isfinite(L) and L > 0 for L in self.lengths):
+        lengths = tuple(float(L) for L in self.lengths)
+        counts = tuple(as_integer("grid count", N, DomainError) for N in self.grid_counts)
+        if not 1 <= len(lengths) == len(counts) <= len(KINDS):
+            raise DomainError(f"a domain needs 1 to {len(KINDS)} lengths and as many grid counts")
+        if not all(math.isfinite(L) and L > 0 for L in lengths):
             raise DomainError("all side lengths must be positive and finite")
-        if not all(isinstance(N, int) and N >= MIN_GRID_COUNT for N in self.grid_counts):
+        if not all(N >= MIN_GRID_COUNT for N in counts):
             raise DomainError(f"all grid counts must be integers >= {MIN_GRID_COUNT}")
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "grid_counts", counts)
+        object.__setattr__(self, "kind", KINDS[len(lengths) - 1])
 
     @property
     def n(self) -> int:
-        """Space dimension (1 or 2)."""
+        """Space dimension, 1 to len(KINDS)."""
         return len(self.lengths)
 
     @property
@@ -90,26 +101,25 @@ class DiscreteDomain:
 
     def node_coords(self) -> np.ndarray:
         """Coordinates of all interior nodes, shape (num_nodes, n), C order."""
-        axes = [self.axis_nodes(a) for a in range(self.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*(self.axis_nodes(a) for a in range(self.n)), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def make_interval(L: float, N: int) -> DiscreteDomain:
     """Interval (0, L) with N subdivisions, hence N-1 interior nodes."""
-    return DiscreteDomain("interval", (float(L),), (int(N),))
+    return DiscreteDomain((L,), (N,))
 
 
 def make_rectangle(L1: float, L2: float, N1: int, N2: int) -> DiscreteDomain:
     """Rectangle (0, L1) x (0, L2) with (N1-1)(N2-1) interior nodes."""
-    return DiscreteDomain("rectangle", (float(L1), float(L2)), (int(N1), int(N2)))
+    return DiscreteDomain((L1, L2), (N1, N2))
 
 
 @dataclass(frozen=True)
 class GridFn:
     """Function values sampled at the interior nodes of a domain.
 
-    values is stored flat in C order over the node grid; a 2D array shaped like
+    values is stored flat in C order over the node grid; an array shaped like
     domain.shape is accepted and flattened.
     """
 
@@ -141,8 +151,7 @@ class EigenBasis:
     sine per axis, so the basis stores per-axis factors rather than the modes:
     factors[a] holds rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on axis
     a's nodes, and factor_rows[a] holds each mode's zero-based row in factors[a].
-    An interval's single factor is its K modes themselves. The factors are read
-    only here, by to_grid and to_coeffs, the coefficient/grid transform.
+    Only to_grid and to_coeffs, the coefficient/grid transform, read the factors.
     """
 
     domain: DiscreteDomain
@@ -160,7 +169,7 @@ class EigenBasis:
         """Square roots of the eigenvalues, the symbol of the square-root operator."""
         return _freeze(np.sqrt(self.lambdas))
 
-    @property
+    @cached_property
     def max_indices(self) -> tuple[int, ...]:
         """Largest sine index used on each axis."""
         return tuple(f.shape[0] for f in self.factors)
@@ -168,27 +177,25 @@ class EigenBasis:
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
 
-        On a rectangle the coefficients are scattered into a (max j, max k)
-        array C and the values are phi_1^T C phi_2, flattened in C order.
+        C, shaped like max_indices, holds the coefficients; each axis of C in turn
+        is contracted with its factor and moved last, leaving the nodes in C order.
         """
-        if len(self.factors) == 1:
-            return coeffs @ self.factors[0]
-        phi1, phi2 = self.factors
-        c = np.zeros((phi1.shape[0], phi2.shape[0]))
+        c = np.zeros(self.max_indices)
         c[self.factor_rows] = coeffs
-        return (phi1.T @ c @ phi2).ravel()
+        for m in self.factors:
+            c = c.reshape(len(m), -1).T @ m
+        return c.ravel()
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
 
-        On a rectangle this is (phi_1 U phi_2^T)[j-1, k-1] times the node weight,
-        with U the values shaped like the node grid.
+        to_grid transposed: each node axis in turn is contracted with its factor
+        and moved last; each mode then reads its entry, times the node weight.
         """
-        if len(self.factors) == 1:
-            return self.factors[0] @ values * self.domain.weight
-        phi1, phi2 = self.factors
-        c = phi1 @ values.reshape(self.domain.shape) @ phi2.T
-        return c[self.factor_rows] * self.domain.weight
+        c = values
+        for m in self.factors:
+            c = (m @ c.reshape(m.shape[1], -1)).T
+        return c.reshape(self.max_indices)[self.factor_rows] * self.domain.weight
 
 
 def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
@@ -199,17 +206,23 @@ def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
     return np.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (np.pi / L))
 
 
+def _index_box(domain: DiscreteDomain, tops) -> tuple[list, np.ndarray]:
+    """Index tuples 1 <= j_a <= tops[a], one array per axis, and their eigenvalues."""
+    axes = (np.arange(1, top + 1) for top in tops)
+    idx = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    return idx, sum((i * np.pi / L) ** 2 for i, L in zip(idx, domain.lengths))
+
+
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs of the domain.
 
-    Interval (0, L): lambda_k = (k pi / L)^2 with mode sqrt(2/L) sin(k pi x / L),
-    stored as one K x (N-1) factor. Rectangle: tensor products, eigenvalues
-    summed per axis, sorted ascending with lexicographic (j, k) tie-break; the
-    basis stores one sine factor per axis up to the largest index used. Requires
-    K <= min(grid_counts) - 1; higher sine indices alias on the grid (mode N
-    vanishes identically).
+    Each mode is a product over the axes of sqrt(2/L_a) sin(j_a pi x / L_a), with
+    eigenvalue sum of (j_a pi / L_a)^2, sorted ascending with ties broken by
+    (j_1, ..., j_n); the basis stores one sine factor per axis up to the largest
+    index used. Requires K <= min(grid_counts) - 1; higher sine indices alias on
+    the grid (mode N vanishes identically).
     """
-    K = int(K)
+    K = as_integer("mode count K", K, DomainError)
     if K < 1:
         raise DomainError("mode count K must be at least 1")
     if K >= min(domain.grid_counts):
@@ -217,34 +230,20 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
             f"K = {K} aliases on a grid with min(grid_counts) = {min(domain.grid_counts)}; "
             f"need K <= {min(domain.grid_counts) - 1}"
         )
-    if domain.n == 1:
-        L = domain.lengths[0]
-        ks = np.arange(1, K + 1)
-        lambdas = (ks * np.pi / L) ** 2
-        rows = (ks - 1,)
-    else:
-        (L1, L2), (N1, N2) = domain.lengths, domain.grid_counts
-
-        def candidates(top_j: int, top_k: int):
-            j, k = np.meshgrid(np.arange(1, top_j + 1), np.arange(1, top_k + 1), indexing="ij")
-            j, k = j.ravel(), k.ravel()
-            return j, k, (j * np.pi / L1) ** 2 + (k * np.pi / L2) ** 2
-
-        # the K-th eigenvalue of a box of at least K pairs bounds the K-th of the
-        # rectangle from above, so every mode kept has j <= L1 sqrt(bound) / pi
-        # and k <= L2 sqrt(bound) / pi; the + 1 absorbs rounding at the bound
-        side = math.isqrt(K - 1) + 1
-        box = candidates(side, -(-K // side))[2]
-        radius = math.sqrt(np.partition(box, K - 1)[K - 1]) / math.pi
-        j, k, lam = candidates(min(N1 - 1, int(L1 * radius) + 1), min(N2 - 1, int(L2 * radius) + 1))
-        order = np.lexsort((k, j, lam))[:K]
-        lambdas = lam[order]
-        rows = (j[order] - 1, k[order] - 1)
+    # the K-th eigenvalue of a box of at least K tuples bounds the K-th of the
+    # domain from above, so every mode kept has index <= L_a sqrt(bound) / pi on
+    # axis a; the + 1 absorbs rounding at the bound
+    box = _index_box(domain, [math.ceil(K ** (1 / domain.n))] * domain.n)[1]
+    radius = math.sqrt(np.partition(box, K - 1)[K - 1]) / math.pi
+    tops = [min(N - 1, int(L * radius) + 1) for L, N in zip(domain.lengths, domain.grid_counts)]
+    idx, lam = _index_box(domain, tops)
+    order = np.lexsort((*idx[::-1], lam))[:K]
+    rows = tuple(i[order] - 1 for i in idx)
     factors = tuple(_axis_modes(domain, a, int(r.max()) + 1) for a, r in enumerate(rows))
     # the factors and rows are built here, so they are frozen in place rather than copied
     for arr in factors + rows:
         arr.flags.writeable = False
-    return EigenBasis(domain=domain, lambdas=_freeze(lambdas), factors=factors, factor_rows=rows)
+    return EigenBasis(domain=domain, lambdas=_freeze(lam[order]), factors=factors, factor_rows=rows)
 
 
 def boundary_distance(domain: DiscreteDomain) -> GridFn:

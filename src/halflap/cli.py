@@ -24,14 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .basis import (
-    DiscreteDomain,
-    DomainError,
-    GridFn,
-    eigenpairs,
-    make_interval,
-    make_rectangle,
-)
+from .basis import KINDS, DiscreteDomain, DomainError, GridFn, eigenpairs
 from .extension import best_trace_constant, evaluate_extension
 from .nonlinear import ConfigError, SolveConfig, SolveReport, solve, sweep
 from .spectral import SpectralFn, apply_A_half, apply_B_half, apply_inv_laplacian
@@ -42,6 +35,18 @@ from .verification import (
     check_symmetry,
     check_weak_mp,
     stability_margin,
+)
+
+
+def _axis_suffixes(n: int) -> list[str]:
+    """Per-axis name suffixes: none for one axis, 1..n otherwise (x or x1, x2, ...)."""
+    return [""] if n == 1 else [str(a) for a in range(1, n + 1)]
+
+
+# the domain mini-syntax: kind, the n lengths, the n grid counts
+_DOMAIN_FORMS = tuple(
+    ":".join([kind] + [c + a for c in "LN" for a in _axis_suffixes(n)])
+    for n, kind in enumerate(KINDS, 1)
 )
 
 _OPS = {
@@ -56,7 +61,7 @@ _OPTIONS = {
     "config": (str, "config file: key=value lines or a JSON object"),
     "output": (str, "output path, '-' for stdout (default)"),
     "format": (("csv", "json"), "report format"),
-    "domain": (str, "interval:L:N or rectangle:L1:L2:N1:N2"),
+    "domain": (str, ", ".join(_DOMAIN_FORMS)),
     "p": (float, "nonlinearity exponent"),
     "p_list": (str, "comma-separated exponents"),
     "modes": (int, "number of eigenmodes K"),
@@ -148,7 +153,7 @@ def _write_csv(fh, header: list[str], rows) -> None:
 
 def _plot_table(u: GridFn) -> tuple[list[str], np.ndarray]:
     """Column names and a float table: one row per node, its coordinates, then the value."""
-    header = ["x", "u"] if u.domain.n == 1 else ["x1", "x2", "u"]
+    header = [f"x{a}" for a in _axis_suffixes(u.domain.n)] + ["u"]
     return header, np.column_stack((u.domain.node_coords(), u.values))
 
 
@@ -219,19 +224,16 @@ def _cast(key: str, value):
 def _parse_domain(spec: str | None) -> DiscreteDomain:
     if spec is None:
         raise ConfigError("a domain is required (--domain or config key 'domain')")
-    parts = spec.split(":")
+    kind, *fields = spec.split(":")
+    n = len(fields) // 2
+    if kind not in KINDS or len(fields) != 2 * KINDS.index(kind) + 2:
+        raise ConfigError(f"bad domain spec {spec!r}: use one of {', '.join(_DOMAIN_FORMS)}")
     try:
-        if parts[0] == "interval" and len(parts) == 3:
-            return make_interval(float(parts[1]), int(parts[2]))
-        if parts[0] == "rectangle" and len(parts) == 5:
-            return make_rectangle(float(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]))
+        return DiscreteDomain([float(t) for t in fields[:n]], [int(t) for t in fields[n:]])
     except ValueError as exc:
         if isinstance(exc, DomainError):
             raise
         raise ConfigError(f"bad domain spec {spec!r}: {exc}") from exc
-    raise ConfigError(
-        f"bad domain spec {spec!r}: use interval:L:N or rectangle:L1:L2:N1:N2"
-    )
 
 
 def _build_config(args) -> SolveConfig:

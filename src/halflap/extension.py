@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GridFn
+from .basis import GridFn, as_integer
 from .spectral import SpectralFn, synthesize
 
 
@@ -54,7 +54,7 @@ def best_trace_constant(n: int) -> float:
     sigma_n is the surface measure of the unit n-sphere in R^(n+1). For n = 2
     the value is sqrt(pi).
     """
-    n = int(n)
+    n = as_integer("dimension n", n)
     if n < 2:
         raise ValueError("best_trace_constant requires n >= 2")
     sigma = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)

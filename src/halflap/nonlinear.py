@@ -22,7 +22,6 @@ steps, or after STALL_STEPS steps without a new best residual.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ from .basis import (
     DomainError,
     EigenBasis,
     GridFn,
+    as_integer,
     eigenpairs,
 )
 from .spectral import SpectralFn
@@ -63,7 +63,7 @@ class SignViolationError(ValueError):
 
 def critical_exponent(n: int) -> float:
     """Trace-Sobolev threshold (n+1)/(n-1); unbounded (inf) for n = 1."""
-    n = int(n)
+    n = as_integer("dimension n", n)
     if n < 1:
         raise ValueError("critical_exponent requires n >= 1")
     if n == 1:
@@ -91,9 +91,7 @@ class SolveConfig:
         for name in ("K", "max_iter", "rng_seed"):
             # a float K truncates to fewer modes, a float max_iter never meets
             # the cap, and a bool passes as 0 or 1
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            as_integer(name, getattr(self, name), ConfigError)
         if not isinstance(self.allow_near_critical, bool):
             # only its truth value is read, so "no" would count as true
             raise ConfigError(

@@ -48,18 +48,23 @@ def sine_matrix(L: float, N: int, K: int) -> np.ndarray:
     return np.sqrt(2.0 / L) * np.sin(np.outer(k, x) * math.pi / L)
 
 
-def product_sine_matrix(L1: float, L2: float, N1: int, N2: int, pairs) -> np.ndarray:
-    """Rows are the normalized product sines of the (j, k) pairs on the rectangle.
+def product_sine_matrix(lengths, counts, index_tuples) -> np.ndarray:
+    """Rows are the normalized product sines of the index tuples on the box.
 
-    Row (j, k) is 2 / sqrt(L1 L2) * sin(j pi x / L1) * sin(k pi y / L2) at the
-    interior nodes (x, y), x-major (C order over the node grid).
+    Row (j_1, ..., j_n) is 2^(n/2) / sqrt(L_1 ... L_n) times the product over the
+    axes of sin(j_a pi x_a / L_a) at the interior nodes x, in C order over the
+    node grid.
     """
-    x, y = np.meshgrid(interval_nodes(L1, N1), interval_nodes(L2, N2), indexing="ij")
-    x, y = x.ravel(), y.ravel()
-    scale = 2.0 / math.sqrt(L1 * L2)
-    return np.array(
-        [scale * np.sin(j * math.pi * x / L1) * np.sin(k * math.pi * y / L2) for j, k in pairs]
-    )
+    grids = np.meshgrid(*(interval_nodes(L, N) for L, N in zip(lengths, counts)), indexing="ij")
+    coords = [g.ravel() for g in grids]
+    scale = 2.0 ** (len(lengths) / 2) / math.sqrt(math.prod(lengths))
+    rows = []
+    for index in index_tuples:
+        row = scale
+        for j, x, L in zip(index, coords, lengths):
+            row = row * np.sin(j * math.pi * x / L)
+        rows.append(row)
+    return np.array(rows)
 
 
 def analyze_dense(values: np.ndarray, L: float, N: int, K: int) -> np.ndarray:

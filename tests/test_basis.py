@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import itertools
 import math
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from halflap import (
     make_rectangle,
 )
 from halflap.basis import _axis_modes
+from halflap.extension import best_trace_constant
+from halflap.nonlinear import critical_exponent
 
 ORTHO_TOL = 1e-13
 
@@ -86,9 +89,20 @@ def test_discrete_orthonormality():
     assert np.max(np.abs(gram - np.eye(32))) <= ORTHO_TOL
 
 
+def _domain(dims) -> DiscreteDomain:
+    """The domain of dims = (L_1, ..., L_n, N_1, ..., N_n)."""
+    n = len(dims) // 2
+    return DiscreteDomain(dims[:n], dims[n:])
+
+
+# the cube has triple eigenvalue ties; each box takes its largest allowed K
+BOXES = [((1.0, 1.0, 1.0, 16, 16, 16), 15), ((2.0, 1.0, 1.5, 32, 16, 24), 15)]
+
+
 @pytest.mark.parametrize(
     "domain, K",
-    [(make_interval(1.0, 256), 64), (make_rectangle(2.0, 1.0, 64, 32), 30)],
+    [(make_interval(1.0, 256), 64), (make_rectangle(2.0, 1.0, 64, 32), 30)]
+    + [(_domain(dims), K) for dims, K in BOXES],
 )
 def test_to_coeffs_inverts_to_grid(domain, K):
     basis = eigenpairs(domain, K)
@@ -99,24 +113,27 @@ def test_to_coeffs_inverts_to_grid(domain, K):
 
 
 def _brute_force_modes(dims, K):
-    """(eigenvalue, j, k) of the first K modes, sorting every index pair the grid holds."""
-    L1, L2, N1, N2 = dims
+    """(eigenvalue, j_1, ..., j_n) of the first K modes, sorting every index tuple
+    the grid holds."""
+    n = len(dims) // 2
+    lengths, counts = dims[:n], dims[n:]
     return sorted(
-        ((j * math.pi / L1) ** 2 + (k * math.pi / L2) ** 2, j, k)
-        for j in range(1, N1)
-        for k in range(1, N2)
+        (sum((j * math.pi / L) ** 2 for j, L in zip(index, lengths)), *index)
+        for index in itertools.product(*(range(1, N) for N in counts))
     )[:K]
 
 
 @pytest.mark.parametrize(
     "dims, K",
-    [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)],
+    [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)] + BOXES,
 )
 def test_separable_transform_matches_dense_modes(dims, K):
     # the square has eigenvalue ties; each case takes its largest allowed K.
-    # The dense modes are closed-form product sines of the brute-force pairs.
-    basis = eigenpairs(make_rectangle(*dims), K)
-    dense = ref.product_sine_matrix(*dims, [(j, k) for _, j, k in _brute_force_modes(dims, K)])
+    # The dense modes are closed-form product sines of the brute-force tuples.
+    n = len(dims) // 2
+    basis = eigenpairs(_domain(dims), K)
+    modes = [index for _, *index in _brute_force_modes(dims, K)]
+    dense = ref.product_sine_matrix(dims[:n], dims[n:], modes)
     rng = np.random.default_rng(11)
     b = rng.standard_normal(K)
     values = rng.standard_normal(basis.domain.num_nodes)
@@ -230,16 +247,19 @@ def test_rectangle_eigenvalues_positive_and_sorted(L1, L2, K):
         ((2.0, 1.0, 256, 128), 127),
         ((1.0, 1.0, 256, 256), 255),
         ((1.3, 0.7, 40, 90), 39),
-    ],
+    ]
+    + BOXES,
 )
 def test_rectangle_mode_order_matches_brute_force(dims, K):
-    # ascending eigenvalue, ties (j <-> k on the square) broken by j, then k
+    # ascending eigenvalue, ties (j <-> k on the square, permutations on the
+    # cube) broken by the first index, then the next
     brute = _brute_force_modes(dims, K)
-    basis = eigenpairs(make_rectangle(*dims), K)
+    basis = eigenpairs(_domain(dims), K)
     indices = np.stack(basis.factor_rows, axis=1) + 1
-    assert indices.tolist() == [[j, k] for _, j, k in brute]
-    np.testing.assert_allclose(basis.lambdas, [lam for lam, _, _ in brute], rtol=1e-15)
-    if dims[0] == dims[1]:
+    assert indices.tolist() == [index for _, *index in brute]
+    np.testing.assert_allclose(basis.lambdas, [lam for lam, *_ in brute], rtol=1e-15)
+    n = len(dims) // 2
+    if len(set(dims[:n])) == 1:
         assert len(set(basis.lambdas.tolist())) < K  # the case has ties to break
 
 
@@ -321,3 +341,51 @@ def test_grid_fn_accepts_shaped_values():
     u = GridFn(dom, np.ones(dom.shape))
     assert u.values.shape == (dom.num_nodes,)
     assert u.reshaped().shape == dom.shape
+
+
+def test_domain_stores_tuples_of_floats_and_ints():
+    # list and numpy inputs build the same hashable domain as make_interval, so
+    # grid functions on the two forms pair without a DomainMismatchError
+    listed = DiscreteDomain([1], [np.int64(64)])
+    made = make_interval(1.0, 64)
+    assert listed.lengths == (1.0,) and type(listed.lengths[0]) is float
+    assert listed.grid_counts == (64,) and type(listed.grid_counts[0]) is int
+    assert listed == made and hash(listed) == hash(made)
+    assert len({listed, made}) == 1
+    ones = np.ones(made.num_nodes)
+    assert inner_product(GridFn(listed, ones), GridFn(made, ones)) == pytest.approx(63 / 64)
+
+
+def test_domain_kind_follows_the_axis_count():
+    kinds = [_domain(dims).kind for dims in [(1.0, 8), (1.0, 2.0, 8, 8), (1.0, 2.0, 3.0, 8, 8, 8)]]
+    assert kinds == ["interval", "rectangle", "box"]
+    assert dataclasses.asdict(make_interval(1.0, 8))["kind"] == "interval"
+    for lengths, counts in [((), ()), ((1.0,) * 4, (8,) * 4), ((1.0, 1.0), (8,))]:
+        with pytest.raises(DomainError):
+            DiscreteDomain(lengths, counts)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: eigenpairs(make_interval(1.0, 64), 16.9), "K"),
+        (lambda: eigenpairs(make_interval(1.0, 64), True), "K"),
+        (lambda: make_interval(1.0, 64.7), "grid count"),
+        (lambda: make_rectangle(1.0, 1.0, 16, 16.0), "grid count"),
+        (lambda: DiscreteDomain((1.0,), (True,)), "grid count"),
+        (lambda: critical_exponent(2.5), "dimension n"),
+        (lambda: critical_exponent(True), "dimension n"),
+        (lambda: best_trace_constant(2.7), "dimension n"),
+    ],
+)
+def test_integer_arguments_reject_floats_and_bools(call, name):
+    # a float used to truncate silently (16.9 modes built 16) and a bool passed as 0 or 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    dom = make_interval(1.0, np.int32(64))
+    assert eigenpairs(dom, np.int64(16)).K == 16
+    assert critical_exponent(np.int64(3)) == 2.0
+    assert best_trace_constant(np.int16(2)) == best_trace_constant(2)

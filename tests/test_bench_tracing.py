@@ -1,0 +1,37 @@
+"""The benchmark's traced run still finds every library name it patches.
+
+bench/tracing.py swaps public names in halflap.cli, halflap.nonlinear and
+halflap.verification for recording wrappers. A refactor that renames or drops
+one of them would otherwise break only the traced benchmark runs.
+"""
+
+import importlib
+from pathlib import Path
+
+import halflap.cli as cli
+import halflap.nonlinear as nonlinear
+import halflap.verification as verification
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_traced_cli_records_every_patched_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    modules = (cli, nonlinear, verification)
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = tracing.Tracer()
+    common = ["--domain", "interval:1:64", "--modes", "8"]
+    commands = [
+        ["eig", *common],
+        ["solve", *common, "--p", "2"],
+        ["check", *common, "--p", "2", "--mp-samples", "2"],
+    ]
+    with tracing.installed(tracer):
+        for i, argv in enumerate(commands):
+            assert cli.main(argv + ["--output", str(tmp_path / f"{i}.out")]) == 0
+    names = {span.name for span in tracer.drain()}
+    assert {"basis.build", "nonlinear.solve", "spectral.analyze"} <= names
+    checks = {f"verification.{name}" for name in tracing.CHECKS}
+    assert checks <= names
+    assert [dict(vars(mod)) for mod in modules] == before

@@ -97,9 +97,11 @@ def test_solve_requires_exponent(capsys):
 
 
 def test_bad_domain_spec(capsys):
-    code = run(["eig", "--domain", "interval:1", "--modes", "4"])
-    capsys.readouterr()
-    assert code == 2
+    for spec in ("interval:1", "box:1:1:1:8:8", "cube:1:8"):
+        code = run(["eig", "--domain", spec, "--modes", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "box:L1:L2:L3:N1:N2:N3" in captured.err
 
 
 def test_sweep_csv_table(capsys):
@@ -327,6 +329,14 @@ def test_plot_data_2d_row_count(tmp_path):
     assert len(lines) == 50
 
 
+def test_plot_data_3d_row_count(tmp_path):
+    path = tmp_path / "plot3d.csv"
+    assert _extend_to_file("box:1:2:1:8:8:8", path) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x1,x2,x3,u"
+    assert len(lines) == 1 + 7**3
+
+
 def test_plot_data_unwritable_path(capsys):
     assert _extend_to_file("interval:1:8", "/nonexistent/dir/plot.csv") == 1
     assert "error:" in capsys.readouterr().err
@@ -424,6 +434,14 @@ FROZEN_REPORTS = {
         b'[{"k":1,"lambda":19.739208802178716},{"k":2,"lambda":49.348022005446794},'
         b'{"k":3,"lambda":49.348022005446794},{"k":4,"lambda":78.956835208714864},'
         b'{"k":5,"lambda":98.696044010893587},{"k":6,"lambda":98.696044010893587}]}\n',
+    ("eig --domain box:1:2:3:16:16:16 --modes 5", "csv"):
+        b"k,lambda\n1,13.433628212593849\n2,16.7234963462903\n3,20.835831513410866\n"
+        b"4,22.206609902451056\n5,24.125699647107318\n",
+    ("eig --domain box:1:2:3:16:16:16 --modes 5", "json"):
+        b'{"domain":{"grid_counts":[16,16,16],"kind":"box","lengths":[1,2,3]},"eigenvalues":'
+        b'[{"k":1,"lambda":13.433628212593849},{"k":2,"lambda":16.7234963462903},'
+        b'{"k":3,"lambda":20.835831513410866},{"k":4,"lambda":22.206609902451056},'
+        b'{"k":5,"lambda":24.125699647107318}]}\n',
     ("apply --domain interval:1:64 --modes 4 --op b-half --coeffs 1,-0.5,0.25", "csv"):
         b"k,coeff\n1,0.31830988618379069\n2,-0.079577471545947673\n3,0.026525823848649224\n"
         b"4,0\n",

@@ -9,6 +9,7 @@ import dense_reference as ref
 import halflap.nonlinear as nonlinear
 from halflap import (
     ConfigError,
+    DiscreteDomain,
     SignViolationError,
     SolveConfig,
     SpectralFn,
@@ -201,6 +202,15 @@ def test_solve_2d_symmetric_in_both_axes():
         assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
         if positive:
             assert rep.positivity_min > 0
+
+
+def test_unit_cube_solve_is_positive_and_symmetric_in_all_three_axes():
+    # n = 3 runs through the same basis and loop; its critical exponent is 2
+    rep = solve(DiscreteDomain((1.0, 1.0, 1.0), (32, 32, 32)), 1.5, SolveConfig(p=1.5, K=31))
+    assert rep.converged, rep.detail
+    assert rep.positivity_min > 0
+    for axis in range(3):
+        assert check_symmetry(rep.solution_grid, axis).metric <= 1e-8 * rep.sup_norm
 
 
 # I0 of each ground-start solve as the plain normalized iteration found it (one
