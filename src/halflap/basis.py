@@ -59,6 +59,8 @@ class DiscreteDomain:
     kind: str = field(init=False)
 
     def __post_init__(self):
+        if any(isinstance(L, bool) or not isinstance(L, numbers.Real) for L in self.lengths):
+            raise DomainError(f"each side length must be a real number, got {self.lengths!r}")
         lengths = tuple(float(L) for L in self.lengths)
         counts = tuple(as_integer("grid count", N, DomainError) for N in self.grid_counts)
         if not 1 <= len(lengths) == len(counts) <= len(KINDS):
@@ -206,37 +208,34 @@ def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
     return np.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (np.pi / L))
 
 
-def _index_box(domain: DiscreteDomain, tops) -> tuple[list, np.ndarray]:
-    """Index tuples 1 <= j_a <= tops[a], one array per axis, and their eigenvalues."""
-    axes = (np.arange(1, top + 1) for top in tops)
-    idx = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    return idx, sum((i * np.pi / L) ** 2 for i, L in zip(idx, domain.lengths))
-
-
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs of the domain.
 
     Each mode is a product over the axes of sqrt(2/L_a) sin(j_a pi x / L_a), with
     eigenvalue sum of (j_a pi / L_a)^2, sorted ascending with ties broken by
     (j_1, ..., j_n); the basis stores one sine factor per axis up to the largest
-    index used. Requires K <= min(grid_counts) - 1; higher sine indices alias on
-    the grid (mode N vanishes identically).
+    index used. Axis a carries j_a <= N_a - 1, since sine N_a vanishes on its
+    nodes, so K may be at most the product of N_a - 1 over the axes.
     """
     K = as_integer("mode count K", K, DomainError)
     if K < 1:
         raise DomainError("mode count K must be at least 1")
-    if K >= min(domain.grid_counts):
+    caps = domain.shape
+    if K > math.prod(caps):
         raise AliasingError(
-            f"K = {K} aliases on a grid with min(grid_counts) = {min(domain.grid_counts)}; "
-            f"need K <= {min(domain.grid_counts) - 1}"
+            f"K = {K} exceeds the {math.prod(caps)} modes with j_a <= N_a - 1 = {caps} per axis"
         )
-    # the K-th eigenvalue of a box of at least K tuples bounds the K-th of the
-    # domain from above, so every mode kept has index <= L_a sqrt(bound) / pi on
-    # axis a; the + 1 absorbs rounding at the bound
-    box = _index_box(domain, [math.ceil(K ** (1 / domain.n))] * domain.n)[1]
-    radius = math.sqrt(np.partition(box, K - 1)[K - 1]) / math.pi
-    tops = [min(N - 1, int(L * radius) + 1) for L, N in zip(domain.lengths, domain.grid_counts)]
-    idx, lam = _index_box(domain, tops)
+    # every tuple of a capped box j_a <= min(N_a - 1, s) holding at least K
+    # tuples has eigenvalue at most the box corner's, so the corner bounds the
+    # K-th eigenvalue and every mode kept has j_a <= L_a sqrt(corner) / pi; the
+    # + 1 absorbs rounding at the bound
+    s = math.ceil(K ** (1 / domain.n))
+    while math.prod(min(cap, s) for cap in caps) < K:
+        s += 1
+    radius = math.hypot(*(min(cap, s) / L for cap, L in zip(caps, domain.lengths)))
+    axes = (np.arange(1, min(cap, int(L * radius) + 1) + 1) for cap, L in zip(caps, domain.lengths))
+    idx = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    lam = sum((i * np.pi / L) ** 2 for i, L in zip(idx, domain.lengths))
     order = np.lexsort((*idx[::-1], lam))[:K]
     rows = tuple(i[order] - 1 for i in idx)
     factors = tuple(_axis_modes(domain, a, int(r.max()) + 1) for a, r in enumerate(rows))

@@ -305,6 +305,9 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     cfg = replace(cfg, p=_resolve_p(p, cfg))
     p = cfg.p
     _validate_exponent(domain, p, cfg)
+    dealiased = math.prod(N // 4 for N in domain.grid_counts)
+    if cfg.K > dealiased:
+        raise ConfigError(f"K = {cfg.K} exceeds the {dealiased} modes with 4 * j_a <= N_a per axis")
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
     best, steps, stop = _fixed_point(basis, p, cfg)

@@ -95,7 +95,7 @@ def _domain(dims) -> DiscreteDomain:
     return DiscreteDomain(dims[:n], dims[n:])
 
 
-# the cube has triple eigenvalue ties; each box takes its largest allowed K
+# the cube has triple eigenvalue ties
 BOXES = [((1.0, 1.0, 1.0, 16, 16, 16), 15), ((2.0, 1.0, 1.5, 32, 16, 24), 15)]
 
 
@@ -125,11 +125,14 @@ def _brute_force_modes(dims, K):
 
 @pytest.mark.parametrize(
     "dims, K",
-    [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)] + BOXES,
+    [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)]
+    + BOXES
+    + [((1.0, 1.0, 64, 8), 200), ((2.0, 1.0, 8, 64), 300), ((1.0, 2.0, 1.5, 16, 16, 8), 300)],
 )
 def test_separable_transform_matches_dense_modes(dims, K):
-    # the square has eigenvalue ties; each case takes its largest allowed K.
-    # The dense modes are closed-form product sines of the brute-force tuples.
+    # the square has eigenvalue ties, and the three cases on the last line take
+    # K above min(N) - 1. The dense modes are closed-form product sines of the
+    # brute-force tuples.
     n = len(dims) // 2
     basis = eigenpairs(_domain(dims), K)
     modes = [index for _, *index in _brute_force_modes(dims, K)]
@@ -221,6 +224,25 @@ def test_mode_count_bounds():
     with pytest.raises(AliasingError):
         eigenpairs(dom, 16)
     eigenpairs(dom, 15)
+    # a grid carries j_a <= N_a - 1 on each axis, so 7 x 7 modes on an 8 x 8 grid
+    square = make_rectangle(1.0, 1.0, 8, 8)
+    assert eigenpairs(square, 49).K == 49
+    with pytest.raises(AliasingError, match="N_a - 1"):
+        eigenpairs(square, 50)
+
+
+@given(
+    data=st.data(), dims=st.lists(st.tuples(lengths, st.integers(8, 14)), min_size=1, max_size=3)
+)
+@settings(max_examples=50, deadline=None)
+def test_every_mode_count_the_grid_carries_matches_brute_force(data, dims):
+    # a bound box that the per-axis cap cuts short would return fewer than K modes
+    flat = tuple(L for L, _ in dims) + tuple(N for _, N in dims)
+    K = data.draw(st.integers(1, math.prod(N - 1 for _, N in dims)), label="K")
+    basis = eigenpairs(_domain(flat), K)
+    assert basis.K == K
+    indices = np.stack(basis.factor_rows, axis=1) + 1
+    assert indices.tolist() == [index for _, *index in _brute_force_modes(flat, K)]
 
 
 @given(L=lengths, N=counts, K=st.integers(min_value=1, max_value=7))
@@ -354,6 +376,15 @@ def test_domain_stores_tuples_of_floats_and_ints():
     assert len({listed, made}) == 1
     ones = np.ones(made.num_nodes)
     assert inner_product(GridFn(listed, ones), GridFn(made, ones)) == pytest.approx(63 / 64)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "2", None, 1j])
+def test_side_lengths_must_be_real_numbers(bad):
+    # a bool used to build (0, 1.0) and a string (0, 2.0); numbers still pass
+    with pytest.raises(DomainError, match="side length"):
+        DiscreteDomain((1.0, bad), (8, 8))
+    for L in (2, 2.0, np.int64(2), np.float32(2.0)):
+        assert DiscreteDomain((1.0, L), (8, 8)).lengths == (1.0, 2.0)
 
 
 def test_domain_kind_follows_the_axis_count():

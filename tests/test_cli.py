@@ -143,6 +143,16 @@ def test_check_battery_passes_on_good_config(capsys):
             "monotonicity_axis0", "hopf", "stability_margin"} <= names
 
 
+@pytest.mark.parametrize("domain, K", [("box:1:1:1:32:32:32", 299), ("box:2:1:1.5:64:32:48", 816)])
+def test_check_battery_passes_on_resolved_boxes(domain, K, capsys):
+    # each K is the most modes the grid dealiases; at K = 31 the cube's truncated
+    # solution ripples and fails monotonicity on all three axes
+    code, out = run_capture(["check", "--domain", domain, "--p", "1.5", "--modes", str(K)], capsys)
+    data = json.loads(out)
+    assert (code, data["all_passed"]) == (0, True)
+    assert {f"monotonicity_axis{a}" for a in range(3)} <= {c["name"] for c in data["checks"]}
+
+
 def test_check_fails_on_large_negative_bound(capsys):
     code, out = run_capture(
         ["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",
@@ -255,14 +265,18 @@ def test_check_rejects_nonpositive_mp_samples(capsys):
 
 
 def test_module_entry_points_run_without_warnings():
-    for module in ("halflap.cli", "halflap"):
+    # the box case takes every mode its grid carries, K = 7^3
+    runs = [("halflap.cli", "interval:1:8", "1"), ("halflap", "interval:1:8", "1"),
+            ("halflap", "box:1:1:1:8:8:8", "343")]
+    for module, domain, modes in runs:
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
-             "eig", "--domain", "interval:1:8", "--modes", "1"],
+             "eig", "--domain", domain, "--modes", modes],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "k,lambda"
+        assert len(proc.stdout.splitlines()) == int(modes) + 1
 
 
 def test_solve_does_not_import_scipy():
@@ -434,6 +448,60 @@ FROZEN_REPORTS = {
         b'[{"k":1,"lambda":19.739208802178716},{"k":2,"lambda":49.348022005446794},'
         b'{"k":3,"lambda":49.348022005446794},{"k":4,"lambda":78.956835208714864},'
         b'{"k":5,"lambda":98.696044010893587},{"k":6,"lambda":98.696044010893587}]}\n',
+    ("eig --domain rectangle:2:1:16:8 --modes 60", "csv"):
+        b"k,lambda\n1,12.337005501361698\n2,19.739208802178716\n3,32.076214303540411\n"
+        b"4,41.945818704629772\n5,49.348022005446794\n6,49.348022005446794\n"
+        b"7,61.685027506808488\n8,71.554631907897843\n9,78.956835208714864\n"
+        b"10,91.293840710076566\n11,98.696044010893587\n12,98.696044010893587\n"
+        b"13,101.16344511116591\n14,111.03304951225527\n15,128.30485721416164\n"
+        b"16,128.30485721416164\n17,130.772258314434\n18,150.51146711661272\n"
+        b"19,160.38107151770205\n20,160.38107151770208\n21,167.78327481851909\n"
+        b"22,167.78327481851909\n23,177.65287921960845\n24,180.12028031988078\n"
+        b"25,197.39208802178717\n26,197.39208802178717\n27,209.72909352314886\n"
+        b"28,209.72909352314886\n29,219.59869792423822\n30,239.33790672641692\n"
+        b"31,246.74011002723395\n32,246.74011002723395\n33,249.20751112750628\n"
+        b"34,256.60971442832329\n35,256.60971442832329\n36,268.946719929685\n"
+        b"37,278.81632433077436\n38,286.21852763159137\n39,286.21852763159137\n"
+        b"40,288.68592873186373\n41,308.42513753404239\n42,308.42513753404245\n"
+        b"43,315.82734083485946\n44,335.56654963703818\n45,335.56654963703818\n"
+        b"46,338.03395073731048\n47,357.77315953948926\n48,357.77315953948926\n"
+        b"49,365.17536284030626\n50,365.17536284030626\n51,367.64276394057856\n"
+        b"52,377.51236834166798\n53,387.38197274275728\n54,394.78417604357435\n"
+        b"55,394.78417604357435\n56,404.65378044466365\n57,404.65378044466365\n"
+        b"58,416.99078594602537\n59,426.86039034711479\n60,444.1321980490211\n",
+    ("eig --domain rectangle:2:1:16:8 --modes 60", "json"):
+        b'{"domain":{"grid_counts":[16,8],"kind":"rectangle","lengths":[2,1]},'
+        b'"eigenvalues":[{"k":1,"lambda":12.337005501361698},'
+        b'{"k":2,"lambda":19.739208802178716},{"k":3,"lambda":32.076214303540411},'
+        b'{"k":4,"lambda":41.945818704629772},{"k":5,"lambda":49.348022005446794},'
+        b'{"k":6,"lambda":49.348022005446794},{"k":7,"lambda":61.685027506808488},'
+        b'{"k":8,"lambda":71.554631907897843},{"k":9,"lambda":78.956835208714864},'
+        b'{"k":10,"lambda":91.293840710076566},{"k":11,"lambda":98.696044010893587},'
+        b'{"k":12,"lambda":98.696044010893587},{"k":13,"lambda":101.16344511116591},'
+        b'{"k":14,"lambda":111.03304951225527},{"k":15,"lambda":128.30485721416164},'
+        b'{"k":16,"lambda":128.30485721416164},{"k":17,"lambda":130.772258314434},'
+        b'{"k":18,"lambda":150.51146711661272},{"k":19,"lambda":160.38107151770205},'
+        b'{"k":20,"lambda":160.38107151770208},{"k":21,"lambda":167.78327481851909},'
+        b'{"k":22,"lambda":167.78327481851909},{"k":23,"lambda":177.65287921960845},'
+        b'{"k":24,"lambda":180.12028031988078},{"k":25,"lambda":197.39208802178717},'
+        b'{"k":26,"lambda":197.39208802178717},{"k":27,"lambda":209.72909352314886},'
+        b'{"k":28,"lambda":209.72909352314886},{"k":29,"lambda":219.59869792423822},'
+        b'{"k":30,"lambda":239.33790672641692},{"k":31,"lambda":246.74011002723395},'
+        b'{"k":32,"lambda":246.74011002723395},{"k":33,"lambda":249.20751112750628},'
+        b'{"k":34,"lambda":256.60971442832329},{"k":35,"lambda":256.60971442832329},'
+        b'{"k":36,"lambda":268.946719929685},{"k":37,"lambda":278.81632433077436},'
+        b'{"k":38,"lambda":286.21852763159137},{"k":39,"lambda":286.21852763159137},'
+        b'{"k":40,"lambda":288.68592873186373},{"k":41,"lambda":308.42513753404239},'
+        b'{"k":42,"lambda":308.42513753404245},{"k":43,"lambda":315.82734083485946},'
+        b'{"k":44,"lambda":335.56654963703818},{"k":45,"lambda":335.56654963703818},'
+        b'{"k":46,"lambda":338.03395073731048},{"k":47,"lambda":357.77315953948926},'
+        b'{"k":48,"lambda":357.77315953948926},{"k":49,"lambda":365.17536284030626},'
+        b'{"k":50,"lambda":365.17536284030626},{"k":51,"lambda":367.64276394057856},'
+        b'{"k":52,"lambda":377.51236834166798},{"k":53,"lambda":387.38197274275728},'
+        b'{"k":54,"lambda":394.78417604357435},{"k":55,"lambda":394.78417604357435},'
+        b'{"k":56,"lambda":404.65378044466365},{"k":57,"lambda":404.65378044466365},'
+        b'{"k":58,"lambda":416.99078594602537},{"k":59,"lambda":426.86039034711479},'
+        b'{"k":60,"lambda":444.1321980490211}]}\n',
     ("eig --domain box:1:2:3:16:16:16 --modes 5", "csv"):
         b"k,lambda\n1,13.433628212593849\n2,16.7234963462903\n3,20.835831513410866\n"
         b"4,22.206609902451056\n5,24.125699647107318\n",

@@ -213,6 +213,19 @@ def test_unit_cube_solve_is_positive_and_symmetric_in_all_three_axes():
         assert check_symmetry(rep.solution_grid, axis).metric <= 1e-8 * rep.sup_norm
 
 
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_unit_square_refines_at_the_most_dealiased_modes(p):
+    # K is the most modes each grid dealiases, above min(N) - 1. Measured (one BLAS
+    # thread): I0 agrees to 3.3e-10 at p = 2 and 1.4e-6 at p = 2.5, and the
+    # defect over sup u^p goes 3.7e-5 -> 9.3e-6 and 5.5e-3 -> 1.3e-5
+    reps = [solve(make_rectangle(1.0, 1.0, N, N), p, SolveConfig(p=p, K=K))
+            for N, K in ((128, 821), (256, 3253))]
+    assert all(rep.converged and rep.iterations < 60 for rep in reps)
+    assert reps[1].I0 == pytest.approx(reps[0].I0, rel=1e-5)
+    coarse, fine = (rep.equation_defect / rep.sup_norm**p for rep in reps)
+    assert fine < coarse
+
+
 # I0 of each ground-start solve as the plain normalized iteration found it (one
 # BLAS thread, numpy 2.4): the accelerated loop must land on the same minimizer
 GROUND_I0 = [
