@@ -5,6 +5,9 @@ box), with a uniform grid of interior nodes i*h, i = 1..N-1, h = L/N per axis.
 Endpoints are excluded and every node carries the flat quadrature weight
 h1*...*hn. On such grids the sampled sine eigenfunctions are exactly discretely
 orthonormal, which keeps every downstream operator identity exactly testable.
+Sine j at node i of an axis is sin(pi (j i mod 2N) / N), so each axis's samples
+are gathered from one table of 2N sines by an exact integer phase, with no
+rounding in the arguments.
 """
 
 from __future__ import annotations
@@ -201,11 +204,20 @@ class EigenBasis:
 
 
 def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
-    """Rows j = 1..count of sqrt(2/L) * sin(j pi x / L) on the interior nodes."""
-    L = domain.lengths[axis]
-    x = domain.axis_nodes(axis)
-    j = np.arange(1, count + 1)
-    return np.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (np.pi / L))
+    """Rows j = 1..count of sqrt(2/L) * sin(j pi x / L) on the interior nodes.
+
+    At node x_i = i L / N the argument is pi (j i) / N, and sine has period 2 pi,
+    so entry (j, i) is sin(pi k / N) with k = j i mod 2N: a gather from a table of
+    2N sines. The reduction is integer arithmetic, so unlike the floating product
+    j pi x / L it is exact; count <= N - 1 keeps j i below (N - 1)^2, which sets
+    the integer width.
+    """
+    L, N = domain.lengths[axis], domain.grid_counts[axis]
+    table = np.sqrt(2.0 / L) * np.sin(np.arange(2 * N) * (np.pi / N))
+    dtype = np.int32 if (N - 1) ** 2 < 2**31 else np.int64
+    phase = np.outer(np.arange(1, count + 1, dtype=dtype), np.arange(1, N, dtype=dtype))
+    phase %= 2 * N
+    return table[phase]
 
 
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:

@@ -159,6 +159,55 @@ def test_interval_transform_is_one_product_with_its_modes():
     np.testing.assert_array_equal(basis.to_coeffs(values), modes @ values * dom.weight)
 
 
+def _direct_sine_factor(domain, axis, count):
+    """Rows j = 1..count of sqrt(2/L) sin(j pi x / L), evaluated at every node."""
+    L = domain.lengths[axis]
+    j = np.arange(1, count + 1)[:, None]
+    return np.sqrt(2.0 / L) * np.sin(j * np.pi * domain.axis_nodes(axis) / L)
+
+
+SINE_FACTOR_CASES = [((1.0, 1024), 256), ((2.0, 1.0, 64, 32), 30)] + BOXES
+
+
+@pytest.mark.parametrize("dims, K", SINE_FACTOR_CASES)
+def test_sine_factors_match_the_direct_formula(dims, K):
+    # the factors gather from a table of 2N sines; the direct products j pi x / L
+    # carry rounding that grows with j, so they agree only to 1e-12, while the
+    # exact phases keep each factor orthonormal to within 2e-15 (the direct
+    # formula gives 8.0e-15 at 1024/K256)
+    domain = _domain(dims)
+    basis = eigenpairs(domain, K)
+    for a, (m, h) in enumerate(zip(basis.factors, domain.spacings)):
+        np.testing.assert_allclose(m, _direct_sine_factor(domain, a, len(m)), rtol=0, atol=1e-12)
+        assert np.max(np.abs(m @ m.T * h - np.eye(len(m)))) <= 2e-15
+
+
+def test_sine_factor_on_a_grid_past_the_int32_phase_range():
+    # (N - 1)^2 >= 2^31 here, so the phases j i are formed in 64-bit integers
+    domain = make_interval(1.0, 50000)
+    assert (domain.grid_counts[0] - 1) ** 2 >= 2**31
+    (m,) = eigenpairs(domain, 3).factors
+    np.testing.assert_allclose(m, _direct_sine_factor(domain, 0, 3), rtol=0, atol=1e-12)
+
+
+def test_eigenpairs_evaluates_at_most_2n_sines_per_axis(monkeypatch):
+    # each axis reads its K x (N - 1) factor from one table of 2N sines
+    sizes = []
+    sin = np.sin
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", recorded)
+    for dims, K in SINE_FACTOR_CASES:
+        sizes.clear()
+        domain = _domain(dims)
+        eigenpairs(domain, K)
+        assert len(sizes) == domain.n
+        assert all(size <= 2 * N for size, N in zip(sizes, domain.grid_counts))
+
+
 def _array_bytes(obj) -> int:
     if isinstance(obj, np.ndarray):
         return obj.nbytes
