@@ -209,15 +209,12 @@ def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
     At node x_i = i L / N the argument is pi (j i) / N, and sine has period 2 pi,
     so entry (j, i) is sin(pi k / N) with k = j i mod 2N: a gather from a table of
     2N sines. The reduction is integer arithmetic, so unlike the floating product
-    j pi x / L it is exact; count <= N - 1 keeps j i below (N - 1)^2, which sets
-    the integer width.
+    j pi x / L it is exact; count <= N - 1 keeps j i below (N - 1)^2, far inside
+    the default 64-bit integers.
     """
     L, N = domain.lengths[axis], domain.grid_counts[axis]
     table = np.sqrt(2.0 / L) * np.sin(np.arange(2 * N) * (np.pi / N))
-    dtype = np.int32 if (N - 1) ** 2 < 2**31 else np.int64
-    phase = np.outer(np.arange(1, count + 1, dtype=dtype), np.arange(1, N, dtype=dtype))
-    phase %= 2 * N
-    return table[phase]
+    return table[np.outer(np.arange(1, count + 1), np.arange(1, N)) % (2 * N)]
 
 
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
