@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -225,10 +225,21 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     (j_1, ..., j_n); the basis stores one sine factor per axis up to the largest
     index used. Axis a carries j_a <= N_a - 1, since sine N_a vanishes on its
     nodes, so K may be at most the product of N_a - 1 over the axes.
+
+    Repeated calls with an equal domain and K return the same read-only basis;
+    the 8 most recently used bases are kept.
     """
     K = as_integer("mode count K", K, DomainError)
     if K < 1:
         raise DomainError("mode count K must be at least 1")
+    return _build(domain, K)
+
+
+# keyed on the validated int K: 16.0 and True hash like 16 and 1, so eigenpairs
+# rejects them before the lookup. One CLI pass of check, sweep, extend, apply and
+# eig uses 5 bases; the bound of 8 caps what a long process keeps alive.
+@lru_cache(maxsize=8)
+def _build(domain: DiscreteDomain, K: int) -> EigenBasis:
     caps = domain.shape
     if K > math.prod(caps):
         raise AliasingError(

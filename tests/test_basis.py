@@ -194,6 +194,8 @@ def test_eigenpairs_evaluates_at_most_2n_sines_per_axis(monkeypatch):
 
     monkeypatch.setattr(np, "sin", recorded)
     for dims, K in SINE_FACTOR_CASES:
+        # the test above built these bases already, so build them afresh
+        halflap.basis._build.cache_clear()
         sizes.clear()
         domain = _domain(dims)
         eigenpairs(domain, K)
@@ -455,6 +457,19 @@ def test_integer_arguments_reject_floats_and_bools(call, name):
     # a float used to truncate silently (16.9 modes built 16) and a bool passed as 0 or 1
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         call()
+
+
+def test_mode_count_is_checked_before_the_basis_cache():
+    # 16.0 == 16 and True == 1 hash alike, so a cache in front of the checks
+    # would hand back the K=16 and K=1 bases built here
+    dom = make_interval(1.0, 64)
+    eigenpairs(dom, 16)
+    eigenpairs(dom, 1)
+    for K in (16.0, True):
+        with pytest.raises(DomainError, match="K must be an integer"):
+            eigenpairs(dom, K)
+    with pytest.raises(AliasingError):
+        eigenpairs(dom, 64)
 
 
 def test_integer_arguments_accept_numpy_integers():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
+import halflap.basis
 import halflap.nonlinear as nonlinear
 from halflap import (
     ConfigError,
@@ -386,6 +387,28 @@ def test_sweep_flags_rejected_exponent_without_crashing():
         assert reports[0].converged
         assert not reports[1].converged
         assert "rejected" in reports[1].detail
+
+
+def test_each_basis_is_built_once_per_domain_and_mode_count(monkeypatch):
+    halflap.basis._build.cache_clear()
+    calls = []
+    axis_modes = halflap.basis._axis_modes
+
+    def counted(domain, axis, count):
+        calls.append(axis)
+        return axis_modes(domain, axis, count)
+
+    monkeypatch.setattr(halflap.basis, "_axis_modes", counted)
+    cfg = SolveConfig(K=60)
+    reports = sweep(UNIT_SQUARE, [1.5, 2.0, 2.5, 2.8], cfg)
+    assert all(r.converged for r in reports)
+    assert solve(UNIT_SQUARE, 2.0, cfg).converged
+    # one sine factor per axis, where each of the 5 solves used to build both
+    assert sorted(calls) == [0, 1]
+    assert eigenpairs(UNIT_SQUARE, 60) is eigenpairs(UNIT_SQUARE, 60)
+    for K in range(1, 10):
+        eigenpairs(DENSE_INTERVAL, K)
+    assert halflap.basis._build.cache_info().currsize == 8
 
 
 def test_near_critical_override_produces_report():
