@@ -194,7 +194,7 @@ def test_eigenpairs_evaluates_at_most_2n_sines_per_axis(monkeypatch):
 
     monkeypatch.setattr(np, "sin", recorded)
     for dims, K in SINE_FACTOR_CASES:
-        # the test above built these bases already, so build them afresh
+        # a cached basis evaluates no sines, so build each case afresh
         halflap.basis._build.cache_clear()
         sizes.clear()
         domain = _domain(dims)

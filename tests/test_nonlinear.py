@@ -403,7 +403,7 @@ def test_each_basis_is_built_once_per_domain_and_mode_count(monkeypatch):
     reports = sweep(UNIT_SQUARE, [1.5, 2.0, 2.5, 2.8], cfg)
     assert all(r.converged for r in reports)
     assert solve(UNIT_SQUARE, 2.0, cfg).converged
-    # one sine factor per axis, where each of the 5 solves used to build both
+    # the 5 solves share one basis: one sine factor per axis
     assert sorted(calls) == [0, 1]
     assert eigenpairs(UNIT_SQUARE, 60) is eigenpairs(UNIT_SQUARE, 60)
     for K in range(1, 10):
