@@ -12,9 +12,9 @@ factor is c^(-p), which removes that direction, and at a solution it is 1. The
 iteration starts from the ground mode and is accelerated by Anderson mixing of
 depth ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011): each step combines the last plain steps so that their
-residuals cancel in the least-squares sense. A nonfinite combination, or a
-step whose residual exceeds ANDERSON_RESTART times the best so far, clears the
-history and takes the plain step instead. The solve reports the iterate with
+residuals cancel in the least-squares sense. A singular or nonfinite
+combination, or a step whose residual exceeds ANDERSON_RESTART times the best
+so far, clears the history and takes the plain step instead. The solve reports the iterate with
 the smallest projected residual, and stops at 1e-2 * tol_residual, at max_iter
 steps, or after STALL_STEPS steps without a new best residual.
 """
@@ -244,9 +244,11 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     Each step maps the coefficients u to the plain step
     g = M^(p/(p-1)) B_half P(u^p), where M = sum sqrt(lambda) u^2 / (u . P(u^p))
     is the Nehari ratio, and mixes g with the last ANDERSON_DEPTH differences
-    of g and of the residual f = g - u. If the mix is nonfinite, or the
-    measured residual is above ANDERSON_RESTART times the best, the step is g
-    and the history is cleared.
+    of g and of the residual f = g - u. The mixing weights gamma minimize
+    |f - gamma F| over the rows F of residual differences, and are solved from
+    the normal equations (F F^T) gamma = F f. If that system is singular, the
+    mix is nonfinite, or the measured residual is above ANDERSON_RESTART times
+    the best, the step is g and the history is cleared.
 
     Returns (best, steps, stop). best is (u coefficients, grid values, clipped
     power, projected residual) of the iterate with the smallest projected
@@ -286,14 +288,21 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
         u = g
         if df and res <= ANDERSON_RESTART * best_res:
             # the combination of the recent plain steps whose residuals best
-            # cancel, by least squares over the residual differences
-            gamma = np.linalg.lstsq(np.array(df).T, f)[0]
-            mixed = g - gamma @ np.array(dg)
-            if np.all(np.isfinite(mixed)):
-                u = mixed
+            # cancel, by least squares over the residual differences F, solved
+            # through the normal equations: F has at most ANDERSON_DEPTH rows,
+            # so the Gram matrix is at most 5 x 5
+            F = np.array(df)
+            try:
+                gamma = np.linalg.solve(F @ F.T, F @ f)
+            except np.linalg.LinAlgError:
+                pass  # a singular Gram matrix: the plain step
+            else:
+                mixed = g - gamma @ np.array(dg)
+                if np.all(np.isfinite(mixed)):
+                    u = mixed
         if u is g:
-            # a stagnated or nonfinite mixing takes the plain step and
-            # restarts the history from it
+            # a stagnated, singular or nonfinite mixing takes the plain step
+            # and restarts the history from it
             dg.clear()
             df.clear()
         step += 1

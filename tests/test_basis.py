@@ -99,10 +99,16 @@ def _domain(dims) -> DiscreteDomain:
 BOXES = [((1.0, 1.0, 1.0, 16, 16, 16), 15), ((2.0, 1.0, 1.5, 32, 16, 24), 15)]
 
 
+# each factor of at least FOLD_MIN_ENTRIES entries is applied folded: 1024 and 1023
+# (even and odd N, with and without a midpoint node), and axis 0 of the long
+# rectangle (36 x 2047 = 73,692 entries), whose axis 1 stays direct like 256/K64
+FOLDED = [((1.0, 1024), 256), ((1.0, 1023), 255), ((16.0, 1.0, 2048, 16), 60)]
+
+
 @pytest.mark.parametrize(
     "domain, K",
     [(make_interval(1.0, 256), 64), (make_rectangle(2.0, 1.0, 64, 32), 30)]
-    + [(_domain(dims), K) for dims, K in BOXES],
+    + [(_domain(dims), K) for dims, K in BOXES + FOLDED],
 )
 def test_to_coeffs_inverts_to_grid(domain, K):
     basis = eigenpairs(domain, K)
@@ -127,12 +133,16 @@ def _brute_force_modes(dims, K):
     "dims, K",
     [((1.0, 1.0, 48, 48), 47), ((2.0, 1.0, 64, 32), 31), ((1.3, 0.7, 40, 90), 39)]
     + BOXES
-    + [((1.0, 1.0, 64, 8), 200), ((2.0, 1.0, 8, 64), 300), ((1.0, 2.0, 1.5, 16, 16, 8), 300)],
+    + [((1.0, 1.0, 64, 8), 200), ((2.0, 1.0, 8, 64), 300), ((1.0, 2.0, 1.5, 16, 16, 8), 300)]
+    + [((1.0, 256), 64)]
+    + FOLDED,
 )
 def test_separable_transform_matches_dense_modes(dims, K):
-    # the square has eigenvalue ties, and the three cases on the last line take
+    # the square has eigenvalue ties, and the three cases on the third line take
     # K above min(N) - 1. The dense modes are closed-form product sines of the
-    # brute-force tuples.
+    # brute-force tuples; their arguments j pi x / L carry rounding that grows
+    # with j, so at 1024/K256 they differ from the exact-phase factors by 2.6e-14
+    # relative on either transform path.
     n = len(dims) // 2
     basis = eigenpairs(_domain(dims), K)
     modes = [index for _, *index in _brute_force_modes(dims, K)]
@@ -157,6 +167,28 @@ def test_interval_transform_is_one_product_with_its_modes():
     values = rng.standard_normal(dom.num_nodes)
     np.testing.assert_array_equal(basis.to_grid(b), b @ modes)
     np.testing.assert_array_equal(basis.to_coeffs(values), modes @ values * dom.weight)
+
+
+@pytest.mark.parametrize(
+    "dims, K, folded",
+    [(dims, K, [a == 0 for a in range(len(dims) // 2)]) for dims, K in FOLDED]
+    + [((1.0, 256), 64, [False]), ((1.0, 512), 128, [False])]
+    + [((2.0, 1.0, 256, 128), 127, [False, False])],
+)
+def test_folded_transform_matches_the_full_factors(dims, K, folded):
+    # only factors of at least FOLD_MIN_ENTRIES entries fold: 512/K128 has 65,408
+    # and the largest benchmark rectangle 127 x 255. The table's sines are
+    # mirror-symmetric only to rounding, so the fold agrees with the full-factor
+    # contraction to roundoff (measured 1.5e-15 relative), not bit for bit
+    basis = eigenpairs(_domain(dims), K)
+    assert [fold is not None for fold in basis.folds] == folded
+    full = dataclasses.replace(basis, folds=(None,) * basis.domain.n)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(K)
+    values = rng.standard_normal(basis.domain.num_nodes)
+    for got, want in ((basis.to_grid(b), full.to_grid(b)),
+                      (basis.to_coeffs(values), full.to_coeffs(values))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _direct_sine_factor(domain, axis, count):
@@ -239,8 +271,8 @@ def test_weight_computed_once_per_domain(monkeypatch):
 def test_only_basis_reads_the_mode_matrix():
     # every coefficient/grid transform goes through EigenBasis.to_grid and
     # to_coeffs, so a new representation of the modes changes basis.py alone;
-    # that covers the per-axis factors and their rows
-    owned = {"factors", "factor_rows"}
+    # that covers the per-axis factors, their rows and their folds
+    owned = {"factors", "factor_rows", "folds"}
     readers = []
     for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
         if path.name == "basis.py":
@@ -330,10 +362,13 @@ def test_rectangle_mode_order_matches_brute_force(dims, K):
 
 
 def test_basis_arrays_are_read_only():
-    for domain in (make_rectangle(1.0, 1.0, 16, 16), make_interval(1.0, 64)):
-        basis = eigenpairs(domain, 8)
+    cases = ((make_rectangle(1.0, 1.0, 16, 16), 8), (make_interval(1.0, 64), 8),
+             (make_interval(1.0, 1024), 256))
+    for domain, K in cases:
+        basis = eigenpairs(domain, K)
         arrays = (basis.lambdas, basis.sqrt_lambdas)
-        for arr in arrays + basis.factors + basis.factor_rows:
+        folds = sum((fold for fold in basis.folds if fold is not None), ())
+        for arr in arrays + basis.factors + basis.factor_rows + folds:
             with pytest.raises(ValueError):
                 arr[0] = 1
 

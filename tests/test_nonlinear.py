@@ -171,7 +171,9 @@ def test_solve_1d_report_facts():
     assert rep.residual_inf <= rep.tol_residual
 
 
-@pytest.mark.parametrize("domain, K", [(UNIT_INTERVAL, 64), (UNIT_SQUARE, 60)])
+@pytest.mark.parametrize(
+    "domain, K", [(UNIT_INTERVAL, 64), (UNIT_SQUARE, 60), (make_interval(1.0, 1024), 256)]
+)
 def test_report_is_what_the_loop_measured(domain, K):
     # every defect field equals the public function measuring it, bit for bit
     rep = solve(domain, 2.0, SolveConfig(p=2.0, K=K))
@@ -282,17 +284,27 @@ def test_stagnating_mixing_restarts_and_converges():
     assert rep.I0 == pytest.approx(I0, rel=1e-12)
 
 
-def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch):
-    # a least-squares solve that returns nan makes every mixed iterate
-    # nonfinite, so each step clears the history and takes the plain step
+def _nan_weights(a):
+    return np.full(a.shape[1], np.nan)
+
+
+def _singular(a):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("degenerate", [_nan_weights, _singular])
+def test_degenerate_mixing_falls_back_to_plain_steps(monkeypatch, degenerate):
+    # mixing weights of nan make every mixed iterate nonfinite, and a singular
+    # Gram matrix gives no weights, so each step clears the history and takes
+    # the plain step
     calls = []
 
-    def nan_lstsq(a, b, *args, **kwargs):
+    def degenerate_solve(a, b, *args, **kwargs):
         calls.append(a.shape)
-        return (np.full(a.shape[1], np.nan),)
+        return degenerate(a)
 
     mixed = solve(UNIT_INTERVAL, 2.0, cfg_1d())
-    monkeypatch.setattr(nonlinear.np.linalg, "lstsq", nan_lstsq)
+    monkeypatch.setattr(nonlinear.np.linalg, "solve", degenerate_solve)
     plain = solve(UNIT_INTERVAL, 2.0, cfg_1d())
     assert calls
     assert all(shape[1] == 1 for shape in calls)  # the history never grows
