@@ -14,9 +14,10 @@ depth ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011): each step combines the last plain steps so that their
 residuals cancel in the least-squares sense. A singular or nonfinite
 combination, or a step whose residual exceeds ANDERSON_RESTART times the best
-so far, clears the history and takes the plain step instead. The solve reports the iterate with
-the smallest projected residual, and stops at 1e-2 * tol_residual, at max_iter
-steps, or after STALL_STEPS steps without a new best residual.
+so far, clears the history and takes the plain step instead. The solve
+reports the iterate with the smallest projected residual, and stops at
+1e-2 * tol_residual, at max_iter steps, or after STALL_STEPS steps without a
+new best residual.
 """
 
 from __future__ import annotations
@@ -288,9 +289,9 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
         u = g
         if df and res <= ANDERSON_RESTART * best_res:
             # the combination of the recent plain steps whose residuals best
-            # cancel, by least squares over the residual differences F, solved
-            # through the normal equations: F has at most ANDERSON_DEPTH rows,
-            # so the Gram matrix is at most 5 x 5
+            # cancel, by least squares over the residual differences F; F has
+            # at most ANDERSON_DEPTH rows, so its Gram matrix is at most 5 x 5
+            # and the normal equations cost far less than an SVD
             F = np.array(df)
             try:
                 gamma = np.linalg.solve(F @ F.T, F @ f)
