@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -94,12 +95,19 @@ _FLOAT = "%.17g"
 _BLOCK_ROWS = 1024
 
 
-def _float_blocks(table: np.ndarray, left: str, right: str, sep: str = ""):
-    """Blocks of rows `left + cells joined by "," + right`; rows and blocks join by sep."""
-    row = left + ",".join([_FLOAT] * table.shape[1]) + right
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start : start + _BLOCK_ROWS]
-        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+def _node_rows(u: GridFn, left: str, right: str, sep: str = ""):
+    """Rows `left + coordinates,value + right` of u, one per node in C order.
+
+    Rows join by sep into blocks of _BLOCK_ROWS rows, yielded one at a time; each
+    axis's node coordinates are formatted once.
+    """
+    axes = [[_FLOAT % x + "," for x in u.domain.axis_nodes(a).tolist()] for a in range(u.domain.n)]
+    heads = map("".join, itertools.product(*axes))
+    for start in range(0, u.values.size, _BLOCK_ROWS):
+        block = u.values[start : start + _BLOCK_ROWS].tolist()
+        # the heads become format template text: a formatted number holds no "%"
+        rows = [left + head + _FLOAT + right for head in itertools.islice(heads, len(block))]
+        yield sep.join(rows) % tuple(block)
 
 
 def _json(obj) -> str:
@@ -116,9 +124,8 @@ def _json(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _json(obj[k]) for k in sorted(obj)) + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
-        if np.isfinite(obj).all():  # else each cell below, nonfinite ones as null
-            return "[" + ",".join(_float_blocks(obj, "[", "]", ",")) + "]"
+    if isinstance(obj, GridFn):  # its values are finite
+        return "[" + ",".join(_node_rows(obj, "[", "]", ",")) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(item) for item in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -145,16 +152,10 @@ def _csv_cell(v) -> str:
 
 def _write_csv(fh, header: list[str], rows) -> None:
     fh.write(",".join(header) + "\n")
-    if isinstance(rows, np.ndarray):
-        fh.writelines(_float_blocks(rows, "", "\n"))
+    if isinstance(rows, GridFn):
+        fh.writelines(_node_rows(rows, "", "\n"))
     else:
         fh.writelines(",".join(_csv_cell(v) for v in row) + "\n" for row in rows)
-
-
-def _plot_table(u: GridFn) -> tuple[list[str], np.ndarray]:
-    """Column names and a float table: one row per node, its coordinates, then the value."""
-    header = [f"x{a}" for a in _axis_suffixes(u.domain.n)] + ["u"]
-    return header, np.column_stack((u.domain.node_coords(), u.values))
 
 
 def _load_config(path: str, known) -> dict:
@@ -326,8 +327,9 @@ def _cmd_extend(args, domain):
     basis = eigenpairs(domain, args.modes)
     if args.y is None:
         raise ConfigError("extend requires --y, the evaluation height")
-    header, rows = _plot_table(evaluate_extension(_input_fn(basis, args), args.y))
-    return 0, {"y": args.y, "columns": header, "rows": rows}, header, rows
+    u = evaluate_extension(_input_fn(basis, args), args.y)
+    header = [f"x{a}" for a in _axis_suffixes(domain.n)] + ["u"]
+    return 0, {"y": args.y, "columns": header, "rows": u}, header, u
 
 
 def _cmd_check(args, domain):
@@ -339,13 +341,9 @@ def _cmd_check(args, domain):
     report = solve(domain, cfg.p, cfg)
     checks = []
     if report.solution is not None:
-        basis = report.solution.basis
-        samples = []
-        for i in range(args.mp_samples):
-            rng = np.random.default_rng([cfg.rng_seed, i])
-            g = GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes))
-            samples.append(check_weak_mp(domain, basis, g))
-        worst = min(samples, key=lambda c: c.metric + c.tolerance)
+        rngs = (np.random.default_rng([cfg.rng_seed, i]) for i in range(args.mp_samples))
+        sources = [GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes)) for rng in rngs]
+        worst = check_weak_mp(domain, report.solution.basis, *sources)
         checks.append(
             dataclasses.replace(
                 worst, detail=f"worst of {args.mp_samples} seeded nonnegative sources"

@@ -310,7 +310,14 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
 
 
 def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveReport:
-    """Full pipeline: validate, build the basis, iterate to the fixed point, report."""
+    """Full pipeline: validate, build the basis, iterate to the fixed point, report.
+
+    K above the product of the N_a // 4 is refused before the basis is built. That
+    bound is necessary, not sufficient: the eigenvalue order can reach a sine index
+    above N_a / 4 on one axis first (on a 32^3 cube, mode (10, 1, 1) comes before
+    (8, 8, 8)), so a K that passes it can still raise ConfigError ("too coarse to
+    dealias") once the basis is built.
+    """
     # replace reruns SolveConfig's checks on the effective exponent
     cfg = replace(cfg, p=_resolve_p(p, cfg))
     p = cfg.p

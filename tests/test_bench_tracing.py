@@ -8,6 +8,8 @@ one of them would otherwise break only the traced benchmark runs.
 import importlib
 from pathlib import Path
 
+import pytest
+
 import halflap.cli as cli
 import halflap.nonlinear as nonlinear
 import halflap.verification as verification
@@ -35,3 +37,17 @@ def test_traced_cli_records_every_patched_layer(tmp_path, monkeypatch):
     checks = {f"verification.{name}" for name in tracing.CHECKS}
     assert checks <= names
     assert [dict(vars(mod)) for mod in modules] == before
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_traced_check_records_one_weak_mp_span_over_all_sources(samples, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    argv = ["check", "--domain", "interval:1:64", "--modes", "8", "--p", "2",
+            "--mp-samples", str(samples), "--output", str(tmp_path / "check.json")]
+    with tracing.installed(tracer):
+        assert cli.main(argv) == 0
+    names = [span.name for span in tracer.drain()]
+    assert names.count("verification.check_weak_mp") == 1
+    assert names.count("spectral.analyze") == samples

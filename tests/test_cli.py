@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from halflap import SpectralFn, eigenpairs, evaluate_extension, make_interval, make_rectangle
+from halflap import (
+    DiscreteDomain, SpectralFn, eigenpairs, evaluate_extension, make_interval, make_rectangle,
+)
 from halflap.cli import _csv_cell, _json, _write_csv, run
 
 
@@ -151,6 +153,15 @@ def test_check_battery_passes_on_resolved_boxes(domain, K, capsys):
     data = json.loads(out)
     assert (code, data["all_passed"]) == (0, True)
     assert {f"monotonicity_axis{a}" for a in range(3)} <= {c["name"] for c in data["checks"]}
+
+
+def test_solve_past_the_mode_pre_check_can_still_fail_dealiasing(capsys):
+    # K = 512 = prod(N_a // 4) passes the pre-check, but the eigenvalue order
+    # reaches sine index 10 on one axis before (8, 8, 8), and N = 32 resolves 8
+    code = run(["solve", "--domain", "box:1:1:1:32:32:32", "--p", "1.5", "--modes", "512"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "too coarse to dealias the nonlinearity; need at least 40" in captured.err
 
 
 def test_check_fails_on_large_negative_bound(capsys):
@@ -539,10 +550,13 @@ def _cell(x) -> str:
     return format(float(x), ".17g")
 
 
-# (domain spec, domain, header); the rectangle's 1833 rows span two formatting blocks
+# (domain spec, domain, header); the rectangle's 1833 rows and the box's 1485 span
+# two formatting blocks
 EXTEND_DOMAINS = [
     ("interval:1:64", make_interval(1.0, 64), ["x", "u"]),
     ("rectangle:2:1:48:40", make_rectangle(2.0, 1.0, 48, 40), ["x1", "x2", "u"]),
+    ("box:1:2:3:16:12:10", DiscreteDomain((1.0, 2.0, 3.0), (16, 12, 10)),
+     ["x1", "x2", "x3", "u"]),
 ]
 
 

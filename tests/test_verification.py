@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import halflap.verification as verification
 from halflap import (
     GridFn,
     SolveConfig,
@@ -87,6 +88,54 @@ def test_weak_mp_rejects_signed_source(basis_1d):
     vals[7] = -1e-6
     with pytest.raises(ValueError):
         check_weak_mp(UNIT_INTERVAL, basis_1d, GridFn(UNIT_INTERVAL, vals))
+
+
+def _sources(domain, count):
+    return [GridFn(domain, np.random.default_rng([7, i]).uniform(0.0, 1.0, domain.num_nodes))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "domain, K, count", [(UNIT_INTERVAL, 64, 100), (make_rectangle(1.0, 1.0, 64, 64), 60, 10)]
+)
+def test_weak_mp_over_many_sources_reports_the_worst_single_source(domain, K, count):
+    basis = eigenpairs(domain, K)
+    sources = _sources(domain, count)
+    singles = [check_weak_mp(domain, basis, g) for g in sources]
+    worst = min(singles, key=lambda rep: rep.metric + rep.tolerance)
+    assert singles.index(worst) > 0
+    assert check_weak_mp(domain, basis, *sources) == worst
+
+
+def test_weak_mp_first_of_tied_sources_wins(basis_1d, monkeypatch):
+    (g,) = _sources(UNIT_INTERVAL, 1)
+    g = GridFn(UNIT_INTERVAL, g.values / g.values.max())  # sup g = 1 exactly
+    m = check_weak_mp(UNIT_INTERVAL, basis_1d, g).metric
+    doubled = GridFn(UNIT_INTERVAL, 2.0 * g.values)
+    # doubling is exact through B_half, so at relative tolerance -m the metric +
+    # tolerance of g and of 2g are both exactly 0 while their reports differ
+    monkeypatch.setattr(verification, "WEAK_MP_REL_TOL", -m)
+    assert check_weak_mp(UNIT_INTERVAL, basis_1d, g, doubled).metric == m
+    assert check_weak_mp(UNIT_INTERVAL, basis_1d, doubled, g).metric == 2.0 * m
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad, message",
+    [("signed", "requires g >= 0 pointwise"), ("other domain", "must agree")],
+)
+def test_weak_mp_rejects_a_bad_source_at_any_position(basis_1d, position, bad, message):
+    good = GridFn(UNIT_INTERVAL, np.ones(UNIT_INTERVAL.num_nodes))
+    if bad == "signed":
+        vals = np.ones(UNIT_INTERVAL.num_nodes)
+        vals[7] = -1e-6
+        source = GridFn(UNIT_INTERVAL, vals)
+    else:
+        source = GridFn(make_interval(2.0, 256), np.ones(UNIT_INTERVAL.num_nodes))
+    sources = [good, good]
+    sources.insert(position, source)
+    with pytest.raises(ValueError, match=message):
+        check_weak_mp(UNIT_INTERVAL, basis_1d, *sources)
 
 
 def test_positivity_of_solution(solved_1d):
