@@ -5,9 +5,6 @@ box), with a uniform grid of interior nodes i*h, i = 1..N-1, h = L/N per axis.
 Endpoints are excluded and every node carries the flat quadrature weight
 h1*...*hn. On such grids the sampled sine eigenfunctions are exactly discretely
 orthonormal, which keeps every downstream operator identity exactly testable.
-Sine j at node i of an axis is sin(pi (j i mod 2N) / N), so each axis's samples
-are gathered from one table of 2N sines by an exact integer phase, with no
-rounding in the arguments.
 """
 
 from __future__ import annotations
@@ -48,6 +45,13 @@ def as_integer(name: str, value, error: type[ValueError] = ValueError) -> int:
     return int(value)
 
 
+def as_real(name: str, value, error: type[ValueError] = ValueError) -> float:
+    """value as a float; a bool or any non-real value raises error naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -68,9 +72,7 @@ class DiscreteDomain:
     kind: str = field(init=False)
 
     def __post_init__(self):
-        if any(isinstance(L, bool) or not isinstance(L, numbers.Real) for L in self.lengths):
-            raise DomainError(f"each side length must be a real number, got {self.lengths!r}")
-        lengths = tuple(float(L) for L in self.lengths)
+        lengths = tuple(as_real("side length", L, DomainError) for L in self.lengths)
         counts = tuple(as_integer("grid count", N, DomainError) for N in self.grid_counts)
         if not 1 <= len(lengths) == len(counts) <= len(KINDS):
             raise DomainError(f"a domain needs 1 to {len(KINDS)} lengths and as many grid counts")
@@ -96,7 +98,7 @@ class DiscreteDomain:
         """Quadrature weight per interior node: the product of grid spacings."""
         return math.prod(self.spacings)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         """Interior node count per axis."""
         return tuple(N - 1 for N in self.grid_counts)
@@ -156,24 +158,20 @@ class GridFn:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ordered Dirichlet eigenpairs sampled on the grid, discretely orthonormal.
+    """Ordered Dirichlet eigenpairs on the grid, discretely orthonormal.
 
-    lambdas are nondecreasing. Every eigenfunction is a product of one sampled
-    sine per axis, so the basis stores per-axis factors rather than the modes:
-    factors[a] holds rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on axis
-    a's nodes, and factor_rows[a] holds each mode's zero-based row in factors[a].
-    Sine j at node N_a - i is (-1)^(j+1) times sine j at node i, so for a factor
-    of at least FOLD_MIN_ENTRIES entries folds[a] holds its odd-j rows and its
-    even-j rows on nodes 1..N_a // 2, which carry the whole factor in half its
-    entries; folds[a] is None for a smaller factor. Only to_grid and
-    to_coeffs, the coefficient/grid transform, read the factors and the folds.
+    lambdas are nondecreasing, and each mode is a product of one sine per axis,
+    whose zero-based index on axis a is in factor_rows[a]. The first transform
+    builds factors[a]: rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on the
+    nodes of axis a or, from FOLD_MIN_ENTRIES entries on, only its odd-j rows
+    and its even-j rows on nodes 1..N_a // 2, which carry the whole factor as
+    sine j at node N_a - i is (-1)^(j+1) times sine j at node i. Only to_grid
+    and to_coeffs, the coefficient/grid transform, read the factors.
     """
 
     domain: DiscreteDomain
     lambdas: np.ndarray
-    factors: tuple[np.ndarray, ...]
     factor_rows: tuple[np.ndarray, ...]
-    folds: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
 
     @property
     def K(self) -> int:
@@ -188,36 +186,42 @@ class EigenBasis:
     @cached_property
     def max_indices(self) -> tuple[int, ...]:
         """Largest sine index used on each axis."""
-        return tuple(f.shape[0] for f in self.factors)
+        return tuple(int(r.max()) + 1 for r in self.factor_rows)
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis, the read-only sine factor, or its odd-j and even-j half-node blocks."""
+        return tuple(
+            _axis_modes(self.domain, a, count, fold=count * (N - 1) >= FOLD_MIN_ENTRIES)
+            for a, (count, N) in enumerate(zip(self.max_indices, self.domain.grid_counts))
+        )
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
 
         C, shaped like max_indices, holds the coefficients; each axis of C in turn
-        is contracted with its factor, or its fold, and moved last, leaving the
-        nodes in C order.
+        is contracted with its factor, or its two blocks, and moved last, leaving
+        the nodes in C order.
         """
         c = np.zeros(self.max_indices)
         c[self.factor_rows] = coeffs
-        for m, fold in zip(self.factors, self.folds):
-            c = c.reshape(len(m), -1).T
-            if fold is None:
-                c = c @ m
-            else:
-                c = _unfold(c[:, ::2] @ fold[0], c[:, 1::2] @ fold[1], m.shape[1])
+        for count, nodes, m in zip(self.max_indices, self.domain.shape, self.factors):
+            c = c.reshape(count, -1).T
+            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes)
+                 if isinstance(m, tuple) else c @ m)
         return c.ravel()
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
 
         to_grid transposed: each node axis in turn is contracted with its factor,
-        or its fold, and moved last; each mode then reads its entry, times the
-        node weight.
+        or its two blocks, and moved last; each mode then reads its entry, times
+        the node weight.
         """
         c = values
-        for m, fold in zip(self.factors, self.folds):
-            c = c.reshape(m.shape[1], -1)
-            c = (m @ c if fold is None else _fold(c, *fold)).T
+        for nodes, m in zip(self.domain.shape, self.factors):
+            c = c.reshape(nodes, -1)
+            c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
         return c.reshape(self.max_indices)[self.factor_rows] * self.domain.weight
 
 
@@ -248,8 +252,9 @@ def _fold(v: np.ndarray, odd: np.ndarray, even: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
-    """Rows j = 1..count of sqrt(2/L) * sin(j pi x / L) on the interior nodes.
+def _axis_modes(domain: DiscreteDomain, axis: int, count: int, fold: bool = False):
+    """Rows j = 1..count of sqrt(2/L) * sin(j pi x / L) on the interior nodes or,
+    with fold, only its odd-j rows and its even-j rows on nodes 1..N // 2; read-only.
 
     At node x_i = i L / N the argument is pi (j i) / N, and sine has period 2 pi,
     so entry (j, i) is sin(pi k / N) with k = j i mod 2N: a gather from a table of
@@ -259,7 +264,12 @@ def _axis_modes(domain: DiscreteDomain, axis: int, count: int) -> np.ndarray:
     """
     L, N = domain.lengths[axis], domain.grid_counts[axis]
     table = np.sqrt(2.0 / L) * np.sin(np.arange(2 * N) * (np.pi / N))
-    return table[np.outer(np.arange(1, count + 1), np.arange(1, N)) % (2 * N)]
+    j = np.arange(1, count + 1)
+    rows, nodes = ((j[::2], j[1::2]), np.arange(1, N // 2 + 1)) if fold else ((j,), np.arange(1, N))
+    blocks = tuple(table[np.outer(r, nodes) % (2 * N)] for r in rows)
+    for m in blocks:
+        m.flags.writeable = False
+    return blocks if fold else blocks[0]
 
 
 def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
@@ -267,9 +277,9 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
 
     Each mode is a product over the axes of sqrt(2/L_a) sin(j_a pi x / L_a), with
     eigenvalue sum of (j_a pi / L_a)^2, sorted ascending with ties broken by
-    (j_1, ..., j_n); the basis stores one sine factor per axis up to the largest
-    index used. Axis a carries j_a <= N_a - 1, since sine N_a vanishes on its
-    nodes, so K may be at most the product of N_a - 1 over the axes.
+    (j_1, ..., j_n). Axis a carries j_a <= N_a - 1, since sine N_a vanishes on
+    its nodes, so K may be at most the product of N_a - 1 over the axes. No sine
+    is evaluated before the basis's first transform.
 
     Repeated calls with an equal domain and K return the same read-only basis;
     the 8 most recently used bases are kept.
@@ -303,19 +313,9 @@ def _build(domain: DiscreteDomain, K: int) -> EigenBasis:
     lam = sum((i * np.pi / L) ** 2 for i, L in zip(idx, domain.lengths))
     order = np.lexsort((*idx[::-1], lam))[:K]
     rows = tuple(i[order] - 1 for i in idx)
-    factors = tuple(_axis_modes(domain, a, int(r.max()) + 1) for a, r in enumerate(rows))
-    # contiguous copies: strided views of the factor, with a 16 kB row stride,
-    # made each transform about 35% slower at 1024/K256
-    folds = tuple(
-        (m[::2, : N // 2].copy(), m[1::2, : N // 2].copy()) if m.size >= FOLD_MIN_ENTRIES else None
-        for m, N in zip(factors, domain.grid_counts)
-    )
-    # the factors, folds and rows are built here, so they are frozen in place rather than copied
-    for arr in factors + rows + sum((fold for fold in folds if fold is not None), ()):
-        arr.flags.writeable = False
-    return EigenBasis(
-        domain=domain, lambdas=_freeze(lam[order]), factors=factors, factor_rows=rows, folds=folds
-    )
+    for r in rows:
+        r.flags.writeable = False
+    return EigenBasis(domain=domain, lambdas=_freeze(lam[order]), factor_rows=rows)
 
 
 def boundary_distance(domain: DiscreteDomain) -> GridFn:

@@ -34,6 +34,7 @@ from .basis import (
     EigenBasis,
     GridFn,
     as_integer,
+    as_real,
     eigenpairs,
 )
 from .spectral import SpectralFn
@@ -93,6 +94,10 @@ class SolveConfig:
             # a float K truncates to fewer modes, a float max_iter never meets
             # the cap, and a bool passes as 0 or 1
             as_integer(name, getattr(self, name), ConfigError)
+        for name in ("p", "tol_residual", "init_perturbation"):
+            # a string or None fails a comparison below with a bare TypeError
+            if name != "p" or self.p is not None:
+                as_real(name, getattr(self, name), ConfigError)
         if not isinstance(self.allow_near_critical, bool):
             # only its truth value is read, so "no" would count as true
             raise ConfigError(
@@ -172,13 +177,12 @@ def _validate_exponent(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> No
 
 
 def _check_dealiasing(basis: EigenBasis) -> None:
-    # the grid must resolve the power nonlinearity: N >= 4 * max mode index per axis
-    for axis in range(basis.domain.n):
-        need = 4 * basis.max_indices[axis]
-        if basis.domain.grid_counts[axis] < need:
+    # the grid must resolve the power nonlinearity: N >= 4 * max sine index per axis
+    for axis, (N, j) in enumerate(zip(basis.domain.grid_counts, basis.max_indices)):
+        if N < 4 * j:
             raise ConfigError(
-                f"grid count {basis.domain.grid_counts[axis]} on axis {axis} is too "
-                f"coarse to dealias the nonlinearity; need at least {need}"
+                f"grid count {N} on axis {axis} is too coarse to dealias the "
+                f"nonlinearity; need at least {4 * j}"
             )
 
 
@@ -312,19 +316,14 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
 def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveReport:
     """Full pipeline: validate, build the basis, iterate to the fixed point, report.
 
-    K above the product of the N_a // 4 is refused before the basis is built. That
-    bound is necessary, not sufficient: the eigenvalue order can reach a sine index
-    above N_a / 4 on one axis first (on a 32^3 cube, mode (10, 1, 1) comes before
-    (8, 8, 8)), so a K that passes it can still raise ConfigError ("too coarse to
-    dealias") once the basis is built.
+    A K whose modes reach a sine index j_a with 4 j_a > N_a on some axis raises
+    ConfigError ("too coarse to dealias") before any sine is evaluated, and a K
+    above the product of the N_a - 1 raises AliasingError, as in eigenpairs.
     """
     # replace reruns SolveConfig's checks on the effective exponent
     cfg = replace(cfg, p=_resolve_p(p, cfg))
     p = cfg.p
     _validate_exponent(domain, p, cfg)
-    dealiased = math.prod(N // 4 for N in domain.grid_counts)
-    if cfg.K > dealiased:
-        raise ConfigError(f"K = {cfg.K} exceeds the {dealiased} modes with 4 * j_a <= N_a per axis")
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
     best, steps, stop = _fixed_point(basis, p, cfg)

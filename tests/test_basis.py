@@ -169,6 +169,19 @@ def test_interval_transform_is_one_product_with_its_modes():
     np.testing.assert_array_equal(basis.to_coeffs(values), modes @ values * dom.weight)
 
 
+def _direct_contractions(basis, b, values):
+    """to_grid(b) and to_coeffs(values), contracting each axis with its whole
+    factor from _axis_modes by tensordot."""
+    factors = [_axis_modes(basis.domain, a, count) for a, count in enumerate(basis.max_indices)]
+    grid = np.zeros(basis.max_indices)
+    grid[basis.factor_rows] = b
+    coeffs = values.reshape(basis.domain.shape)
+    for m in factors:
+        grid = np.tensordot(grid, m, axes=(0, 0))
+        coeffs = np.tensordot(coeffs, m, axes=(0, 1))
+    return grid.ravel(), coeffs[basis.factor_rows] * basis.domain.weight
+
+
 @pytest.mark.parametrize(
     "dims, K, folded",
     [(dims, K, [a == 0 for a in range(len(dims) // 2)]) for dims, K in FOLDED]
@@ -181,14 +194,13 @@ def test_folded_transform_matches_the_full_factors(dims, K, folded):
     # mirror-symmetric only to rounding, so the fold agrees with the full-factor
     # contraction to roundoff (measured 1.5e-15 relative), not bit for bit
     basis = eigenpairs(_domain(dims), K)
-    assert [fold is not None for fold in basis.folds] == folded
-    full = dataclasses.replace(basis, folds=(None,) * basis.domain.n)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(K)
     values = rng.standard_normal(basis.domain.num_nodes)
-    for got, want in ((basis.to_grid(b), full.to_grid(b)),
-                      (basis.to_coeffs(values), full.to_coeffs(values))):
+    want_grid, want_coeffs = _direct_contractions(basis, b, values)
+    for got, want in ((basis.to_grid(b), want_grid), (basis.to_coeffs(values), want_coeffs)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert [isinstance(m, tuple) for m in basis.factors] == folded
 
 
 def _direct_sine_factor(domain, axis, count):
@@ -196,6 +208,20 @@ def _direct_sine_factor(domain, axis, count):
     L = domain.lengths[axis]
     j = np.arange(1, count + 1)[:, None]
     return np.sqrt(2.0 / L) * np.sin(j * np.pi * domain.axis_nodes(axis) / L)
+
+
+def _whole_factor(form, nodes):
+    """An axis's factor from its form in EigenBasis.factors: the factor itself,
+    or its odd-j and even-j half-node blocks, mirrored onto the far nodes by
+    sine j at node N - i = (-1)^(j+1) sine j at node i."""
+    if not isinstance(form, tuple):
+        return form
+    odd, even = form
+    half = odd.shape[1]
+    m = np.empty((len(odd) + len(even), nodes))
+    m[::2, :half], m[1::2, :half] = odd, even
+    m[::2, half:], m[1::2, half:] = odd[:, nodes - half - 1 :: -1], -even[:, nodes - half - 1 :: -1]
+    return m
 
 
 # (N - 1)^2 passes 2^31 on the 50000-node interval
@@ -210,29 +236,39 @@ def test_sine_factors_match_the_direct_formula(dims, K):
     # formula gives 8.0e-15 at 1024/K256)
     domain = _domain(dims)
     basis = eigenpairs(domain, K)
-    for a, (m, h) in enumerate(zip(basis.factors, domain.spacings)):
+    basis.to_grid(np.ones(K))
+    for a, (form, nodes, h) in enumerate(zip(basis.factors, domain.shape, domain.spacings)):
+        m = _whole_factor(form, nodes)
         np.testing.assert_allclose(m, _direct_sine_factor(domain, a, len(m)), rtol=0, atol=1e-12)
         assert np.max(np.abs(m @ m.T * h - np.eye(len(m)))) <= 2e-15
 
 
-def test_eigenpairs_evaluates_at_most_2n_sines_per_axis(monkeypatch):
-    # each axis reads its K x (N - 1) factor from one table of 2N sines
-    sizes = []
-    sin = np.sin
-
-    def recorded(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return sin(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "sin", recorded)
+def test_eigenpairs_evaluates_at_most_2n_sines_per_axis(sine_sizes):
+    # each axis reads its K x (N - 1) factor, or its two blocks, from one table
+    # of 2N sines, built at the basis's first transform
     for dims, K in SINE_FACTOR_CASES:
-        # a cached basis evaluates no sines, so build each case afresh
-        halflap.basis._build.cache_clear()
-        sizes.clear()
         domain = _domain(dims)
-        eigenpairs(domain, K)
-        assert len(sizes) == domain.n
-        assert all(size <= 2 * N for size, N in zip(sizes, domain.grid_counts))
+        basis = eigenpairs(domain, K)
+        sine_sizes.clear()
+        basis.to_coeffs(np.ones(domain.num_nodes))
+        assert len(sine_sizes) == domain.n
+        assert all(size <= 2 * N for size, N in zip(sine_sizes, domain.grid_counts))
+
+
+def test_eigenpairs_evaluates_no_sine(sine_sizes):
+    for dims, K in SINE_FACTOR_CASES + FOLDED:
+        eigenpairs(_domain(dims), K)
+    assert sine_sizes == []
+
+
+@pytest.mark.parametrize("dims, K", SINE_FACTOR_CASES + FOLDED)
+def test_a_second_transform_evaluates_no_sine(dims, K, sine_sizes):
+    basis = eigenpairs(_domain(dims), K)
+    values = basis.to_grid(np.ones(K))
+    sine_sizes.clear()
+    basis.to_coeffs(values)
+    basis.to_grid(np.ones(K))
+    assert sine_sizes == []
 
 
 def _array_bytes(obj) -> int:
@@ -246,8 +282,19 @@ def _array_bytes(obj) -> int:
 def test_large_square_basis_stores_no_dense_modes():
     # a dense 255 x 65025 mode matrix would take 133 MB
     basis = eigenpairs(make_rectangle(1.0, 1.0, 256, 256), 255)
+    basis.to_grid(np.ones(255))
     held = sum(_array_bytes(getattr(basis, f.name)) for f in dataclasses.fields(basis))
-    assert 0 < held < 1_000_000
+    assert 0 < held + _array_bytes(basis.factors) < 1_000_000
+
+
+def test_a_folded_axis_holds_only_its_two_blocks():
+    # 128 odd and 128 even rows on 512 nodes; the whole 256 x 1023 factor as well
+    # would add 2,095,104 bytes
+    basis = eigenpairs(make_interval(1.0, 1024), 256)
+    basis.to_grid(np.ones(256))
+    (form,) = basis.factors
+    assert [m.shape for m in form] == [(128, 512), (128, 512)]
+    assert _array_bytes(basis.factors) == 1_048_576
 
 
 def test_weight_computed_once_per_domain(monkeypatch):
@@ -271,8 +318,8 @@ def test_weight_computed_once_per_domain(monkeypatch):
 def test_only_basis_reads_the_mode_matrix():
     # every coefficient/grid transform goes through EigenBasis.to_grid and
     # to_coeffs, so a new representation of the modes changes basis.py alone;
-    # that covers the per-axis factors, their rows and their folds
-    owned = {"factors", "factor_rows", "folds"}
+    # that covers the per-axis factors, folded or not, and their rows
+    owned = {"factors", "factor_rows"}
     readers = []
     for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
         if path.name == "basis.py":
@@ -366,9 +413,10 @@ def test_basis_arrays_are_read_only():
              (make_interval(1.0, 1024), 256))
     for domain, K in cases:
         basis = eigenpairs(domain, K)
-        arrays = (basis.lambdas, basis.sqrt_lambdas)
-        folds = sum((fold for fold in basis.folds if fold is not None), ())
-        for arr in arrays + basis.factors + basis.factor_rows + folds:
+        basis.to_grid(np.ones(K))
+        # the 1024/K256 factor is held as its two blocks
+        blocks = sum((m if isinstance(m, tuple) else (m,) for m in basis.factors), ())
+        for arr in (basis.lambdas, basis.sqrt_lambdas) + blocks + basis.factor_rows:
             with pytest.raises(ValueError):
                 arr[0] = 1
 

@@ -156,12 +156,27 @@ def test_check_battery_passes_on_resolved_boxes(domain, K, capsys):
 
 
 def test_solve_past_the_mode_pre_check_can_still_fail_dealiasing(capsys):
-    # K = 512 = prod(N_a // 4) passes the pre-check, but the eigenvalue order
-    # reaches sine index 10 on one axis before (8, 8, 8), and N = 32 resolves 8
+    # K = 512 = prod(N_a // 4), but the eigenvalue order reaches sine index 10 on
+    # one axis before (8, 8, 8), and N = 32 resolves 8; the one dealiasing check
+    # reads the enumerated indices and names the axis
     code = run(["solve", "--domain", "box:1:1:1:32:32:32", "--p", "1.5", "--modes", "512"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "too coarse to dealias the nonlinearity; need at least 40" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eig", "--domain", "rectangle:1:1:256:256", "--modes", "255"],
+        ["apply", "--domain", "interval:1:1024", "--modes", "256", "--op", "b-half", "--mode", "3"],
+    ],
+)
+def test_eig_and_apply_evaluate_no_sine(argv, sine_sizes, capsys):
+    # neither command transforms, so neither builds a sine factor
+    code, out = run_capture(argv, capsys)
+    assert code == 0 and out
+    assert sine_sizes == []
 
 
 def test_check_fails_on_large_negative_bound(capsys):

@@ -106,6 +106,38 @@ def test_config_rejects_nonfinite_and_negative_settings(field, value):
         SolveConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p", "2"),
+        ("p", True),
+        ("tol_residual", "1e-9"),
+        ("tol_residual", None),
+        ("tol_residual", True),
+        ("init_perturbation", None),
+        ("init_perturbation", "0.1"),
+        ("init_perturbation", False),
+    ],
+)
+def test_config_names_a_setting_that_is_not_a_real_number(field, value):
+    # a string or None used to reach a comparison and raise a bare TypeError
+    kwargs = {"p": 2.0, "K": 16, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+        SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "domain, K",
+    [(DiscreteDomain((1.0, 1.0, 1.0), (32, 32, 32)), 300), (UNIT_SQUARE, 1000)],
+)
+def test_solve_refuses_an_undealiased_mode_count_before_any_sine(domain, K, sine_sizes):
+    # 300 modes fit within the 8^3 of N_a // 4 but reach sine index 9 on the cube;
+    # 1000 exceed the square's 16^2 and stay within its 63^2 grid modes
+    with pytest.raises(ConfigError, match="too coarse to dealias"):
+        solve(domain, 1.5, SolveConfig(p=1.5, K=K))
+    assert sine_sizes == []
+
+
 def test_config_accepts_boundary_settings():
     cfg = SolveConfig(p=2.0, K=16, tol_residual=1e300, init_perturbation=0.0, rng_seed=0)
     assert cfg.rng_seed == 0
@@ -406,9 +438,9 @@ def test_each_basis_is_built_once_per_domain_and_mode_count(monkeypatch):
     calls = []
     axis_modes = halflap.basis._axis_modes
 
-    def counted(domain, axis, count):
+    def counted(domain, axis, *args, **kwargs):
         calls.append(axis)
-        return axis_modes(domain, axis, count)
+        return axis_modes(domain, axis, *args, **kwargs)
 
     monkeypatch.setattr(halflap.basis, "_axis_modes", counted)
     cfg = SolveConfig(K=60)
