@@ -38,18 +38,32 @@ class AliasingError(ValueError):
     """Requested mode count exceeds what the grid can represent."""
 
 
-def as_integer(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """value as an int; a bool or a non-integral number raises error naming the argument."""
+# Every numeric argument and setting is read by one rule: its type, then, for a
+# real, its finiteness, then its bound. The first failure raises the caller's
+# error class with a message that names the argument and the value.
+def as_integer(name: str, value, error=ValueError, at_least=None) -> int:
+    """value as an int; a bool, a non-integral number or a value below at_least raises error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return _bounded(name, int(value), error, at_least)
 
 
-def as_real(name: str, value, error: type[ValueError] = ValueError) -> float:
-    """value as a float; a bool or any non-real value raises error naming the argument."""
+def as_real(name: str, value, error=ValueError, at_least=None, above=None) -> float:
+    """value as a float; a bool, a non-real, a nonfinite or an out-of-bound value raises error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    return _bounded(name, value, error, at_least, above)
+
+
+def _bounded(name: str, value, error, at_least, above=None):
+    if at_least is not None and value < at_least:
+        raise error(f"{name} must be at least {at_least}, got {value}")
+    if above is not None and value <= above:
+        raise error(f"{name} must be greater than {above}, got {value}")
+    return value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -72,14 +86,13 @@ class DiscreteDomain:
     kind: str = field(init=False)
 
     def __post_init__(self):
-        lengths = tuple(as_real("side length", L, DomainError) for L in self.lengths)
-        counts = tuple(as_integer("grid count", N, DomainError) for N in self.grid_counts)
+        lengths = tuple(as_real("side length", L, DomainError, above=0) for L in self.lengths)
+        counts = tuple(
+            as_integer("grid count", N, DomainError, at_least=MIN_GRID_COUNT)
+            for N in self.grid_counts
+        )
         if not 1 <= len(lengths) == len(counts) <= len(KINDS):
             raise DomainError(f"a domain needs 1 to {len(KINDS)} lengths and as many grid counts")
-        if not all(math.isfinite(L) and L > 0 for L in lengths):
-            raise DomainError("all side lengths must be positive and finite")
-        if not all(N >= MIN_GRID_COUNT for N in counts):
-            raise DomainError(f"all grid counts must be integers >= {MIN_GRID_COUNT}")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "grid_counts", counts)
         object.__setattr__(self, "kind", KINDS[len(lengths) - 1])
@@ -284,10 +297,7 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     Repeated calls with an equal domain and K return the same read-only basis;
     the 8 most recently used bases are kept.
     """
-    K = as_integer("mode count K", K, DomainError)
-    if K < 1:
-        raise DomainError("mode count K must be at least 1")
-    return _build(domain, K)
+    return _build(domain, as_integer("mode count K", K, DomainError, at_least=1))
 
 
 # keyed on the validated int K: 16.0 and True hash like 16 and 1, so eigenpairs

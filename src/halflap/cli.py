@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .basis import KINDS, DiscreteDomain, DomainError, GridFn, eigenpairs
+from .basis import KINDS, DiscreteDomain, DomainError, GridFn, as_integer, eigenpairs
 from .extension import best_trace_constant, evaluate_extension
 from .nonlinear import ConfigError, SolveConfig, SolveReport, solve, sweep
 from .spectral import SpectralFn, apply_A_half, apply_B_half, apply_inv_laplacian
@@ -334,8 +334,7 @@ def _cmd_extend(args, domain):
 
 def _cmd_check(args, domain):
     cfg = _build_config(args)
-    if args.mp_samples < 1:
-        raise ConfigError(f"mp_samples must be at least 1, got {args.mp_samples}")
+    as_integer("mp_samples", args.mp_samples, ConfigError, at_least=1)
     # a bad c_minus is rejected before the solve; its report still comes last
     margin = stability_margin(domain, args.c_minus)
     report = solve(domain, cfg.p, cfg)

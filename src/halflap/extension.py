@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GridFn, as_integer
+from .basis import GridFn, as_integer, as_real
 from .spectral import SpectralFn, synthesize
 
 
@@ -25,10 +25,7 @@ class TruncationError(ValueError):
 
 def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
     """Horizontal slice of the harmonic extension at a finite height y >= 0."""
-    if y < 0:
-        raise ValueError("extension height must be nonnegative")
-    if not math.isfinite(y):
-        raise ValueError(f"extension height y must be finite, got {y}")
+    y = as_real("extension height y", y, at_least=0)
     decay = np.exp(-f.basis.sqrt_lambdas * y)
     return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs * decay))
 
@@ -39,10 +36,7 @@ def dtn_fd(f: SpectralFn, h: float) -> GridFn:
     Returns -(v(., h) - v(., 0)) / h, which converges at first order in h to
     the synthesized image of the square-root operator.
     """
-    if h <= 0:
-        raise ValueError("height step h must be positive")
-    if not math.isfinite(h):
-        raise ValueError(f"height step h must be finite, got {h}")
+    h = as_real("height step h", h, above=0)
     base = synthesize(f)
     lifted = evaluate_extension(f, h)
     return GridFn(f.basis.domain, -(lifted.values - base.values) / h)
@@ -54,9 +48,7 @@ def best_trace_constant(n: int) -> float:
     sigma_n is the surface measure of the unit n-sphere in R^(n+1). For n = 2
     the value is sqrt(pi).
     """
-    n = as_integer("dimension n", n)
-    if n < 2:
-        raise ValueError("best_trace_constant requires n >= 2")
+    n = as_integer("dimension n", n, at_least=2)
     sigma = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
     return (n - 1) * sigma ** (1.0 / n) / 2.0
 
@@ -69,10 +61,8 @@ class ExtremalProfile:
     epsilon: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("extremal profiles are defined for n >= 2")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        as_integer("dimension n", self.n, at_least=2)
+        as_real("epsilon", self.epsilon, above=0)
 
 
 def _stretched_nodes(epsilon: float, R: float, M: int) -> np.ndarray:
@@ -97,8 +87,8 @@ def extremal_quotient(profile: ExtremalProfile, R: float, M: int) -> float:
     """
     if profile.n != 2:
         raise ValueError("extremal_quotient is implemented for n = 2 only")
-    if M < 64:
-        raise ValueError("quadrature resolution M must be at least 64")
+    M = as_integer("quadrature resolution M", M, at_least=64)
+    R = as_real("truncation radius R", R)
     eps = profile.epsilon
     if R <= eps:
         raise TruncationError(f"truncation radius R = {R} must exceed epsilon = {eps}")

@@ -65,12 +65,8 @@ class SignViolationError(ValueError):
 
 def critical_exponent(n: int) -> float:
     """Trace-Sobolev threshold (n+1)/(n-1); unbounded (inf) for n = 1."""
-    n = as_integer("dimension n", n)
-    if n < 1:
-        raise ValueError("critical_exponent requires n >= 1")
-    if n == 1:
-        return math.inf
-    return (n + 1) / (n - 1)
+    n = as_integer("dimension n", n, at_least=1)
+    return math.inf if n == 1 else (n + 1) / (n - 1)
 
 
 @dataclass(frozen=True)
@@ -90,38 +86,21 @@ class SolveConfig:
     allow_near_critical: bool = False
 
     def __post_init__(self):
-        for name in ("K", "max_iter", "rng_seed"):
-            # a float K truncates to fewer modes, a float max_iter never meets
-            # the cap, and a bool passes as 0 or 1
-            as_integer(name, getattr(self, name), ConfigError)
-        for name in ("p", "tol_residual", "init_perturbation"):
-            # a string or None fails a comparison below with a bare TypeError
-            if name != "p" or self.p is not None:
-                as_real(name, getattr(self, name), ConfigError)
+        # a float K truncates, a float max_iter never meets the cap, a bool passes as
+        # 0 or 1, a string fails a comparison, and a nonfinite p, tolerance or amplitude
+        # overflows the first power, passes every iterate or poisons the start
+        if self.p is not None:
+            as_real("p", self.p, ConfigError, at_least=MIN_EXPONENT)
+        as_integer("K", self.K, ConfigError, at_least=1)
+        as_integer("max_iter", self.max_iter, ConfigError, at_least=1)
+        as_real("tol_residual", self.tol_residual, ConfigError, above=0)
+        as_integer("rng_seed", self.rng_seed, ConfigError, at_least=0)
+        as_real("init_perturbation", self.init_perturbation, ConfigError, at_least=0)
         if not isinstance(self.allow_near_critical, bool):
             # only its truth value is read, so "no" would count as true
             raise ConfigError(
                 f"allow_near_critical must be a bool, got {self.allow_near_critical!r}"
             )
-        if self.p is not None and not self.p >= MIN_EXPONENT:
-            raise ConfigError(f"p = {self.p} is below the floor {MIN_EXPONENT}")
-        if self.K < 1:
-            raise ConfigError("K must be at least 1")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        if not self.tol_residual > 0:
-            raise ConfigError("tol_residual must be positive")
-        if self.init_perturbation < 0:
-            raise ConfigError("init_perturbation must be nonnegative")
-        for name in ("p", "tol_residual", "init_perturbation"):
-            # an infinite exponent overflows the first power; an infinite
-            # tolerance passes every iterate; a nonfinite amplitude is silently
-            # dropped (nan) or poisons the start (inf)
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -156,12 +135,12 @@ class SolveReport:
 
 
 def _resolve_p(p: float | None, cfg: SolveConfig) -> float:
-    if p is not None and cfg.p is not None and float(p) != float(cfg.p):
-        raise ConfigError(f"explicit p = {p} disagrees with config p = {cfg.p}")
-    eff = p if p is not None else cfg.p
-    if eff is None:
+    if p is None and cfg.p is None:
         raise ConfigError("exponent p was not provided")
-    return float(eff)
+    eff = as_real("p", cfg.p if p is None else p, ConfigError)
+    if cfg.p is not None and eff != float(cfg.p):
+        raise ConfigError(f"explicit p = {p} disagrees with config p = {cfg.p}")
+    return eff
 
 
 def _validate_exponent(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> None:

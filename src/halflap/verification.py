@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiscreteDomain, EigenBasis, GridFn
+from .basis import DiscreteDomain, EigenBasis, GridFn, as_real
 # synthesize is unused here but stays importable: bench/tracing.py wraps it in
 # this module by name
 from .spectral import analyze, synthesize  # noqa: F401
@@ -166,12 +166,9 @@ def stability_margin(domain: DiscreteDomain, c_minus_inf: float) -> CheckReport:
     eigenvalue grows as the domain shrinks, which is the discrete mechanism of
     the small-domain maximum principle.
     """
-    if c_minus_inf < 0:
-        raise ValueError("c_minus_inf must be nonnegative")
-    if not math.isfinite(c_minus_inf):
-        raise ValueError(f"c_minus_inf must be finite, got {c_minus_inf}")
+    c_minus_inf = as_real("c_minus_inf", c_minus_inf, at_least=0)
     lam1 = sum((math.pi / L) ** 2 for L in domain.lengths)
-    metric = math.sqrt(lam1) - float(c_minus_inf)
+    metric = math.sqrt(lam1) - c_minus_inf
     return CheckReport(
         name="stability_margin",
         passed=bool(metric > 0.0),

@@ -1,10 +1,13 @@
 """Domain construction, eigenpairs, and grid inner products."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
 import itertools
 import math
+import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +30,18 @@ from halflap import (
     make_rectangle,
 )
 from halflap.basis import _axis_modes
-from halflap.extension import best_trace_constant
-from halflap.nonlinear import critical_exponent
+from halflap.cli import _cmd_check
+from halflap.extension import (
+    ExtremalProfile,
+    TruncationError,
+    best_trace_constant,
+    dtn_fd,
+    evaluate_extension,
+    extremal_quotient,
+)
+from halflap.nonlinear import ConfigError, SolveConfig, critical_exponent, solve
+from halflap.spectral import SpectralFn
+from halflap.verification import stability_margin
 
 ORTHO_TOL = 1e-13
 
@@ -540,6 +553,84 @@ def test_integer_arguments_reject_floats_and_bools(call, name):
     # a float used to truncate silently (16.9 modes built 16) and a bool passed as 0 or 1
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         call()
+
+
+_DOM = make_interval(1.0, 64)
+_F = SpectralFn(eigenpairs(_DOM, 4), np.ones(4))
+_PROFILE = ExtremalProfile(2, 0.1)
+
+
+def _config(field):
+    return lambda value: SolveConfig(**{field: value})
+
+
+def _check_with_mp_samples(samples):
+    return _cmd_check(argparse.Namespace(p=2.0, modes=16, mp_samples=samples, c_minus=0.0), _DOM)
+
+
+# each scalar input of the library, called with the bad value
+_SIDE = partial(make_interval, N=64)
+_COUNT = partial(make_interval, 1.0)
+_K = partial(eigenpairs, _DOM)
+_SOLVE_P = partial(solve, _DOM, cfg=SolveConfig(K=16))
+_PROFILE_N = partial(ExtremalProfile, epsilon=0.1)
+_EPSILON = partial(ExtremalProfile, 2)
+_R = partial(extremal_quotient, _PROFILE, M=100)
+_M = partial(extremal_quotient, _PROFILE, 10.0)
+_Y = partial(evaluate_extension, _F)
+_H = partial(dtn_fd, _F)
+_C_MINUS = partial(stability_margin, _DOM)
+
+
+@pytest.mark.parametrize(
+    "call, value, error, fragment",
+    [
+        (_SIDE, math.nan, DomainError, "side length must be finite, got nan"),
+        (_SIDE, -1.0, DomainError, "side length must be greater than 0, got -1.0"),
+        (_COUNT, 4, DomainError, "grid count must be at least 8, got 4"),
+        (_K, 0, DomainError, "mode count K must be at least 1, got 0"),
+        (_config("p"), math.nan, ConfigError, "p must be finite, got nan"),
+        (_config("p"), 1.0, ConfigError, "p must be at least 1.1, got 1.0"),
+        (_config("K"), 0, ConfigError, "K must be at least 1, got 0"),
+        (_config("max_iter"), 0, ConfigError, "max_iter must be at least 1, got 0"),
+        (_config("tol_residual"), math.nan, ConfigError, "tol_residual must be finite, got nan"),
+        (_config("tol_residual"), 0.0, ConfigError, "tol_residual must be greater than 0"),
+        (_config("rng_seed"), -1, ConfigError, "rng_seed must be at least 0, got -1"),
+        (_config("init_perturbation"), -0.1, ConfigError, "init_perturbation must be at least 0"),
+        (_SOLVE_P, "2", ConfigError, "p must be a real number, got '2'"),
+        (_SOLVE_P, b"2", ConfigError, "p must be a real number, got b'2'"),
+        (_SOLVE_P, True, ConfigError, "p must be a real number, got True"),
+        (_SOLVE_P, math.nan, ConfigError, "p must be finite, got nan"),
+        (_SOLVE_P, 1.0, ConfigError, "p must be at least 1.1, got 1.0"),
+        (critical_exponent, 0, ValueError, "dimension n must be at least 1, got 0"),
+        (best_trace_constant, 1, ValueError, "dimension n must be at least 2, got 1"),
+        (_PROFILE_N, 2.0, ValueError, "dimension n must be an integer"),
+        (_PROFILE_N, 1, ValueError, "dimension n must be at least 2, got 1"),
+        (_EPSILON, "0.1", ValueError, "epsilon must be a real number"),
+        (_EPSILON, math.inf, ValueError, "epsilon must be finite, got inf"),
+        (_EPSILON, 0.0, ValueError, "epsilon must be greater than 0, got 0.0"),
+        (_R, math.nan, ValueError, "truncation radius R must be finite, got nan"),
+        (_R, math.inf, ValueError, "truncation radius R must be finite, got inf"),
+        (_R, 0.05, TruncationError, "truncation radius R = 0.05 must exceed epsilon = 0.1"),
+        (_M, 100.5, ValueError, "quadrature resolution M must be an integer"),
+        (_M, 10, ValueError, "quadrature resolution M must be at least 64, got 10"),
+        (_Y, "0.1", ValueError, "extension height y must be a real number"),
+        (_Y, -1.0, ValueError, "extension height y must be at least 0, got -1.0"),
+        (_H, "0.1", ValueError, "height step h must be a real number"),
+        (_H, 0.0, ValueError, "height step h must be greater than 0, got 0.0"),
+        (_C_MINUS, True, ValueError, "c_minus_inf must be a real number, got True"),
+        (_C_MINUS, "1", ValueError, "c_minus_inf must be a real number"),
+        (_C_MINUS, -1.0, ValueError, "c_minus_inf must be at least 0, got -1.0"),
+        (_check_with_mp_samples, 2.5, ConfigError, "mp_samples must be an integer"),
+    ],
+)
+def test_numeric_inputs_follow_one_rule(call, value, error, fragment):
+    # every scalar input is read by as_integer or as_real: its type, then, for a
+    # real, its finiteness, then its bound, each failure naming the input. Cases
+    # pinned by the tests above, by the SolveConfig tests and by the nonfinite
+    # y, h and c_minus_inf tests are not repeated here
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(value)
 
 
 def test_mode_count_is_checked_before_the_basis_cache():

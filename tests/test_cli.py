@@ -198,6 +198,13 @@ def test_trace_constant_json(capsys):
     assert data["value"] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 
 
+def test_trace_constant_refuses_dimension_one(capsys):
+    code = run(["trace-constant", "--n", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "dimension n must be at least 2, got 1" in captured.err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -424,6 +431,8 @@ def test_sweep_requires_an_exponent(tmp_path, capsys):
         ("--init-perturbation", "inf", "init_perturbation"),
         ("--seed", "-1", "rng_seed"),
         ("--p", "inf", "p"),
+        ("--p", "nan", "p"),
+        ("--tol-residual", "nan", "tol_residual"),
     ],
 )
 def test_nonfinite_or_negative_solver_settings_exit_2(flag, value, field, capsys):
@@ -433,6 +442,9 @@ def test_nonfinite_or_negative_solver_settings_exit_2(flag, value, field, capsys
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert field in captured.err
+        if value in ("nan", "inf"):
+            # the cause, not only the setting: a nan fails every bound comparison
+            assert f"{field} must be finite, got {value}" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
