@@ -33,12 +33,9 @@ from .extension import (
 )
 from .nonlinear import (
     ConfigError,
-    SignViolationError,
     SolveConfig,
     SolveReport,
     critical_exponent,
-    galerkin_residual,
-    residual,
     solve,
     sweep,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "EigenBasis",
     "ExtremalProfile",
     "GridFn",
-    "SignViolationError",
     "SolveConfig",
     "SolveReport",
     "SpectralFn",
@@ -99,13 +95,11 @@ __all__ = [
     "eigenpairs",
     "evaluate_extension",
     "extremal_quotient",
-    "galerkin_residual",
     "hardy_quotient",
     "inner_product",
     "make_interval",
     "make_rectangle",
     "reflect",
-    "residual",
     "solve",
     "stability_margin",
     "sweep",

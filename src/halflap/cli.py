@@ -87,7 +87,7 @@ _SOLVER = (
     "modes", "max_iter", "tol_residual", "seed", "init_perturbation", "allow_near_critical"
 )
 # used when neither the flag nor the config file sets the option
-_DEFAULTS = {"modes": 64, "mp_samples": 10, "c_minus": 0.0}
+_DEFAULTS = {"modes": SolveConfig.K, "mp_samples": 10, "c_minus": 0.0}
 
 # The one float format of reports: "%.17g" % x is format(x, ".17g") for every double, nan
 # and inf included. Tables are formatted _BLOCK_ROWS rows per string to bound the text held.

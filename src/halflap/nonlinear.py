@@ -59,10 +59,6 @@ class ConfigError(ValueError):
     """Rejected solver configuration."""
 
 
-class SignViolationError(ValueError):
-    """Grid values are negative beyond the tolerated floor."""
-
-
 def critical_exponent(n: int) -> float:
     """Trace-Sobolev threshold (n+1)/(n-1); unbounded (inf) for n = 1."""
     n = as_integer("dimension n", n, at_least=1)
@@ -169,21 +165,12 @@ def _constraint_scale(values: np.ndarray, weight: float, p: float) -> float:
     return float((np.sum(np.abs(values) ** (p + 1)) * weight) ** (1.0 / (p + 1)))
 
 
-def _sign_gate(values: np.ndarray) -> None:
-    """Raise if negative values exceed the tolerated floor."""
-    sup = float(np.max(np.abs(values)))
-    if sup > 0.0 and float(values.min()) < -1e-10 * sup:
-        raise SignViolationError(
-            f"grid minimum {values.min():.3e} is negative beyond -1e-10 * sup = {-1e-10 * sup:.3e}"
-        )
-
-
 def _evaluate(basis: EigenBasis, u: np.ndarray, p: float):
     """Grid values of the coefficients u, the clipped power u^p on the grid,
     its mode projection, and the projected residual sup |A_half u - projection|.
 
-    The fixed-point loop and both residual functions measure through this one
-    expression, so a solve reports exactly the residual its iteration measured.
+    The fixed-point loop measures through this one expression, so a solve
+    reports exactly the residual its iteration measured.
     """
     grid = basis.to_grid(u)
     power = np.maximum(grid, 0.0) ** p
@@ -195,24 +182,6 @@ def _evaluate(basis: EigenBasis, u: np.ndarray, p: float):
 def _equation_defect(basis: EigenBasis, u: np.ndarray, power: np.ndarray) -> float:
     """Unprojected sup-norm defect of A_half u = u^p at the nodes."""
     return float(np.max(np.abs(basis.to_grid(u * basis.sqrt_lambdas) - power)))
-
-
-def residual(u: SpectralFn, p: float) -> float:
-    """Sup-norm grid defect of the equation: |A_half u - u^p| at the nodes.
-
-    The power is taken on values clipped to nonnegative; values negative
-    beyond -1e-10 times the sup norm raise SignViolationError.
-    """
-    grid, power, _, _ = _evaluate(u.basis, u.coeffs, p)
-    _sign_gate(grid)
-    return _equation_defect(u.basis, u.coeffs, power)
-
-
-def galerkin_residual(u: SpectralFn, p: float) -> float:
-    """Sup-norm defect of the discrete system: A_half u minus the mode projection of u^p."""
-    grid, _, _, res = _evaluate(u.basis, u.coeffs, p)
-    _sign_gate(grid)
-    return res
 
 
 def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
@@ -343,4 +312,4 @@ def _sweep_row(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> SolveRepor
 
 def sweep(domain: DiscreteDomain, p_list, cfg: SolveConfig) -> list[SolveReport]:
     """One solve per exponent, in input order; a rejected row becomes a flagged report."""
-    return [_sweep_row(domain, float(q), cfg) for q in p_list]
+    return [_sweep_row(domain, q, cfg) for q in p_list]

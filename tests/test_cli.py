@@ -35,6 +35,12 @@ def test_eig_lists_eigenvalues(capsys):
     assert float(lam) == pytest.approx(math.pi**2, rel=1e-15)
 
 
+def test_eig_without_modes_lists_the_solver_default_count(capsys):
+    code, out = run_capture(["eig", "--domain", "interval:1:256"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 64
+
+
 def test_eig_json_format(capsys):
     code, out = run_capture(
         ["eig", "--domain", "interval:1:64", "--modes", "2", "--format", "json"], capsys

@@ -1,4 +1,4 @@
-"""Fixed-point solve, residuals, and sweep."""
+"""Fixed-point solve, its reported defects, and sweep."""
 
 import math
 
@@ -11,17 +11,13 @@ import halflap.nonlinear as nonlinear
 from halflap import (
     ConfigError,
     DiscreteDomain,
-    SignViolationError,
     SolveConfig,
-    SpectralFn,
     check_positivity,
     check_symmetry,
     critical_exponent,
     eigenpairs,
-    galerkin_residual,
     make_interval,
     make_rectangle,
-    residual,
     solve,
     sweep,
 )
@@ -35,6 +31,15 @@ def cfg_1d(**kw):
     base = dict(p=2.0, K=64)
     base.update(kw)
     return SolveConfig(**base)
+
+
+def _defects(basis, c, p):
+    """(Galerkin defect, equation defect) of the coefficients c, from their definitions:
+    sup |A_half u - projection of u^p| and sup |A_half u - u^p| over the nodes."""
+    power = np.maximum(basis.to_grid(c), 0.0) ** p
+    a_half = c * basis.sqrt_lambdas
+    galerkin = float(np.max(np.abs(basis.to_grid(a_half - basis.to_coeffs(power)))))
+    return galerkin, float(np.max(np.abs(basis.to_grid(a_half) - power)))
 
 
 def test_critical_exponent_values():
@@ -155,41 +160,15 @@ def test_dealiasing_guard():
         solve(make_interval(1.0, 128), 2.0, cfg_1d())
 
 
-def test_residual_of_zero():
-    basis = eigenpairs(UNIT_INTERVAL, 8)
-    assert residual(SpectralFn(basis, np.zeros(8)), 2.0) == 0.0
-
-
-def test_residual_of_pure_mode_is_positive():
-    basis = eigenpairs(UNIT_INTERVAL, 8)
-    e1 = np.zeros(8)
-    e1[0] = 1.0
-    r = residual(SpectralFn(basis, e1), 2.0)
-    x = UNIT_INTERVAL.axis_nodes(0)
-    phi = math.sqrt(2.0) * np.sin(math.pi * x)
-    want = np.max(np.abs(math.pi * phi - phi**2))
-    assert r == pytest.approx(want, rel=1e-12)
-    assert r > 0
-
-
-def test_residual_rejects_sign_changing_input():
-    basis = eigenpairs(UNIT_INTERVAL, 8)
-    e2 = np.zeros(8)
-    e2[1] = 1.0
-    with pytest.raises(SignViolationError):
-        residual(SpectralFn(basis, e2), 2.0)
-
-
 def test_residual_small_at_dense_discretization():
     # 63 modes on the 64-point grid: the coefficient transform is square and
     # invertible, so the raw and Galerkin defects coincide and the reference
     # fixed-point iterate drives both to the floor
     I0, _, b = ref.fixed_point_reference(1.0, 64, 63, 2.0)
     basis = eigenpairs(DENSE_INTERVAL, 63)
-    sol = SpectralFn(basis, I0 * b)  # the factor I0^(1/(p-1)) at p = 2
-    r = residual(sol, 2.0)
-    assert r <= 1e-8
-    assert galerkin_residual(sol, 2.0) == pytest.approx(r, abs=1e-10)
+    galerkin, defect = _defects(basis, I0 * b, 2.0)  # the factor I0^(1/(p-1)) at p = 2
+    assert defect <= 1e-8
+    assert galerkin == pytest.approx(defect, abs=1e-10)
 
 
 def test_solve_1d_report_facts():
@@ -207,11 +186,12 @@ def test_solve_1d_report_facts():
     "domain, K", [(UNIT_INTERVAL, 64), (UNIT_SQUARE, 60), (make_interval(1.0, 1024), 256)]
 )
 def test_report_is_what_the_loop_measured(domain, K):
-    # every defect field equals the public function measuring it, bit for bit
+    # every defect field equals its definition evaluated on the solution, bit for bit
     rep = solve(domain, 2.0, SolveConfig(p=2.0, K=K))
     u = rep.solution_grid
-    assert rep.residual_inf == galerkin_residual(rep.solution, 2.0)
-    assert rep.equation_defect == residual(rep.solution, 2.0)
+    assert (rep.residual_inf, rep.equation_defect) == _defects(
+        rep.solution.basis, rep.solution.coeffs, 2.0
+    )
     assert rep.symmetry_defect == max(check_symmetry(u, a).metric for a in range(domain.n))
     assert rep.positivity_min == check_positivity(u).metric
 
@@ -431,6 +411,18 @@ def test_sweep_flags_rejected_exponent_without_crashing():
         assert reports[0].converged
         assert not reports[1].converged
         assert "rejected" in reports[1].detail
+
+
+def test_sweep_flags_a_non_real_exponent():
+    # each exponent reaches SolveConfig's check as given, so a string, bytes or a
+    # bool becomes a flagged row instead of a number or a bare ValueError
+    exponents = [2.0, "2", b"3", "abc", True]
+    reports = sweep(DENSE_INTERVAL, exponents, SolveConfig(K=16))
+    assert reports[0].converged
+    for q, rep in zip(exponents[1:], reports[1:]):
+        assert not rep.converged
+        assert rep.p is q
+        assert rep.detail == f"rejected: p must be a real number, got {q!r}"
 
 
 def test_each_basis_is_built_once_per_domain_and_mode_count(monkeypatch):
