@@ -24,7 +24,6 @@ from .basis import (
     make_rectangle,
 )
 from .extension import (
-    ExtremalProfile,
     TruncationError,
     best_trace_constant,
     dtn_fd,
@@ -71,7 +70,6 @@ __all__ = [
     "DomainError",
     "DomainMismatchError",
     "EigenBasis",
-    "ExtremalProfile",
     "GridFn",
     "SolveConfig",
     "SolveReport",

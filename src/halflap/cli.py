@@ -28,7 +28,7 @@ import numpy as np
 from .basis import KINDS, DiscreteDomain, DomainError, GridFn, as_integer, eigenpairs
 from .extension import best_trace_constant, evaluate_extension
 from .nonlinear import ConfigError, SolveConfig, SolveReport, solve, sweep
-from .spectral import SpectralFn, apply_A_half, apply_B_half, apply_inv_laplacian
+from .spectral import SpectralFn, apply_A_half, apply_B_half, apply_inv_laplacian, synthesize
 from .verification import (
     check_hopf,
     check_monotonicity,
@@ -202,9 +202,12 @@ def _cast(key: str, value):
     """A config-file value as its flag would parse it; ConfigError names the key."""
     kind = _OPTIONS[key][0]
     try:
+        if isinstance(value, bool) and kind is not bool:
+            # a JSON true or false would otherwise read as 1/0 or as the path "True"
+            raise ValueError("only boolean options take true or false")
         if kind is int:
             # strings parse as flags do (int("16.9") fails); JSON numbers must be integral
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            if isinstance(value, float) and not value.is_integer():
                 raise ValueError("expected an integer")
             return int(value)
         if kind is bool:
@@ -267,7 +270,7 @@ def _report_dict(report: SolveReport, with_coeffs: bool = True) -> dict:
     out = {
         f.name: getattr(report, f.name)
         for f in dataclasses.fields(report)
-        if f.name not in ("solution", "solution_grid")
+        if f.name != "solution"
     }
     out["domain"] = dataclasses.asdict(report.domain)
     if with_coeffs:
@@ -342,13 +345,13 @@ def _cmd_check(args, domain):
     if report.solution is not None:
         rngs = (np.random.default_rng([cfg.rng_seed, i]) for i in range(args.mp_samples))
         sources = [GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes)) for rng in rngs]
-        worst = check_weak_mp(domain, report.solution.basis, *sources)
+        worst = check_weak_mp(report.solution.basis, *sources)
         checks.append(
             dataclasses.replace(
                 worst, detail=f"worst of {args.mp_samples} seeded nonnegative sources"
             )
         )
-        u = report.solution_grid
+        u = synthesize(report.solution)
         checks.append(check_positivity(u))
         for axis in range(domain.n):
             checks.append(check_symmetry(u, axis))

@@ -11,7 +11,6 @@ finite-difference map dtn_fd approximates at first order in the height step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,18 +52,6 @@ def best_trace_constant(n: int) -> float:
     return (n - 1) * sigma ** (1.0 / n) / 2.0
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
-    """Bubble profile epsilon^((n-1)/2) / |(x, y + epsilon)|^(n-1)."""
-
-    n: int
-    epsilon: float
-
-    def __post_init__(self):
-        as_integer("dimension n", self.n, at_least=2)
-        as_real("epsilon", self.epsilon, above=0)
-
-
 def _stretched_nodes(epsilon: float, R: float, M: int) -> np.ndarray:
     """Trapezoid nodes on [0, R]: uniform to 10*epsilon, geometric beyond."""
     cut = 10.0 * epsilon
@@ -77,19 +64,17 @@ def _stretched_nodes(epsilon: float, R: float, M: int) -> np.ndarray:
     return np.concatenate([uni, geo])
 
 
-def extremal_quotient(profile: ExtremalProfile, R: float, M: int) -> float:
-    """Rayleigh quotient of the bubble profile on the truncated half-space.
+def extremal_quotient(epsilon: float, R: float, M: int) -> float:
+    """Rayleigh quotient of the n = 2 bubble profile epsilon^(1/2) / |(x, y + epsilon)|.
 
-    Implemented for n = 2, where radial symmetry in the base plane reduces the
-    integrals to 2D quadrature over planar radius and height. The quotient
-    tends to best_trace_constant(2) as R and M grow; truncation at finite R
-    removes positive energy, so convergence is from below.
+    Radial symmetry in the base plane reduces the integrals to 2D quadrature
+    over planar radius and height on the half-space truncated at R. The
+    quotient tends to best_trace_constant(2) as R and M grow; truncation at
+    finite R removes positive energy, so convergence is from below.
     """
-    if profile.n != 2:
-        raise ValueError("extremal_quotient is implemented for n = 2 only")
+    eps = as_real("epsilon", epsilon, above=0)
     M = as_integer("quadrature resolution M", M, at_least=64)
     R = as_real("truncation radius R", R)
-    eps = profile.epsilon
     if R <= eps:
         raise TruncationError(f"truncation radius R = {R} must exceed epsilon = {eps}")
     rho = _stretched_nodes(eps, R, M)

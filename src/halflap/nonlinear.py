@@ -113,7 +113,6 @@ class SolveReport:
     """
 
     solution: SpectralFn | None = None
-    solution_grid: GridFn | None = None
     I0: float = math.nan
     residual_inf: float = math.inf
     equation_defect: float = math.inf
@@ -285,7 +284,6 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     I0 = energy / _constraint_scale(grid, domain.weight, p) ** 2
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
-        solution_grid=u_grid,
         I0=I0,
         residual_inf=projected,
         equation_defect=_equation_defect(basis, u_coeffs, power),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiscreteDomain, EigenBasis, GridFn, as_real
+from .basis import DiscreteDomain, EigenBasis, GridFn, as_integer, as_real
 # synthesize is unused here but stays importable: bench/tracing.py wraps it in
 # this module by name
 from .spectral import analyze, synthesize  # noqa: F401
@@ -36,30 +36,30 @@ class CheckReport:
     detail: str = ""
 
 
-def reflect(u: GridFn, axis: int) -> GridFn:
-    """Reflect a grid function across the domain midline of one axis."""
+def _axis(u: GridFn, axis: int) -> int:
+    axis = as_integer("axis", axis)
     if not 0 <= axis < u.domain.n:
         raise ValueError(f"axis {axis} out of range for dimension {u.domain.n}")
-    return GridFn(u.domain, np.flip(u.reshaped(), axis=axis).ravel())
+    return axis
 
 
-def check_weak_mp(
-    domain: DiscreteDomain, basis: EigenBasis, g: GridFn, *more: GridFn
-) -> CheckReport:
+def reflect(u: GridFn, axis: int) -> GridFn:
+    """Reflect a grid function across the domain midline of one axis."""
+    return GridFn(u.domain, np.flip(u.reshaped(), axis=_axis(u, axis)).ravel())
+
+
+def check_weak_mp(basis: EigenBasis, g: GridFn, *more: GridFn) -> CheckReport:
     """Discrete weak maximum principle: B_half g stays nonnegative for g >= 0.
 
     The tolerance is relative, -1e-8 times sup g, calibrated against a dense
     reference battery; the discrete operator is not entrywise nonnegative as a
     matrix fact, but its action on nonnegative data stays above this floor.
     Given more sources, checks each one and reports the worst: the smallest
-    metric + tolerance, the first on ties.
+    metric + tolerance, the first on ties. A source on a domain other than the
+    basis's raises DomainMismatchError.
     """
-    if basis.domain != domain:
-        raise ValueError("domain, basis, and g must agree")
     worst = None
     for source in (g, *more):
-        if source.domain != domain:
-            raise ValueError("domain, basis, and g must agree")
         if float(source.values.min()) < 0.0:
             raise ValueError("check_weak_mp requires g >= 0 pointwise")
         # B_half divides the coefficients by sqrt(lambda), as apply_B_half does
@@ -113,8 +113,7 @@ def check_monotonicity(u: GridFn, axis: int) -> CheckReport:
     all be at most MONOTONE_REL_TOL times sup |u|; the metric is the worst
     difference.
     """
-    if not 0 <= axis < u.domain.n:
-        raise ValueError(f"axis {axis} out of range for dimension {u.domain.n}")
+    axis = _axis(u, axis)
     arr = u.reshaped()
     diffs = np.diff(arr, axis=axis)
     # 0-based left-node j corresponds to 1-based node index j+1 at x = (j+1) h;

@@ -32,7 +32,6 @@ from halflap import (
 from halflap.basis import _axis_modes
 from halflap.cli import _cmd_check
 from halflap.extension import (
-    ExtremalProfile,
     TruncationError,
     best_trace_constant,
     dtn_fd,
@@ -41,7 +40,7 @@ from halflap.extension import (
 )
 from halflap.nonlinear import ConfigError, SolveConfig, critical_exponent, solve
 from halflap.spectral import SpectralFn
-from halflap.verification import stability_margin
+from halflap.verification import check_monotonicity, check_symmetry, reflect, stability_margin
 
 ORTHO_TOL = 1e-13
 
@@ -536,6 +535,9 @@ def test_domain_kind_follows_the_axis_count():
             DiscreteDomain(lengths, counts)
 
 
+_PLANE = GridFn(make_rectangle(1.0, 1.0, 8, 8), np.arange(49.0))
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -547,6 +549,13 @@ def test_domain_kind_follows_the_axis_count():
         (lambda: critical_exponent(2.5), "dimension n"),
         (lambda: critical_exponent(True), "dimension n"),
         (lambda: best_trace_constant(2.7), "dimension n"),
+        # an axis is read by the same rule, so True is not taken as axis 1
+        (lambda: reflect(_PLANE, True), "axis"),
+        (lambda: reflect(_PLANE, 1.0), "axis"),
+        (lambda: check_symmetry(_PLANE, True), "axis"),
+        (lambda: check_symmetry(_PLANE, 1.0), "axis"),
+        (lambda: check_monotonicity(_PLANE, True), "axis"),
+        (lambda: check_monotonicity(_PLANE, 1.0), "axis"),
     ],
 )
 def test_integer_arguments_reject_floats_and_bools(call, name):
@@ -557,7 +566,6 @@ def test_integer_arguments_reject_floats_and_bools(call, name):
 
 _DOM = make_interval(1.0, 64)
 _F = SpectralFn(eigenpairs(_DOM, 4), np.ones(4))
-_PROFILE = ExtremalProfile(2, 0.1)
 
 
 def _config(field):
@@ -573,10 +581,11 @@ _SIDE = partial(make_interval, N=64)
 _COUNT = partial(make_interval, 1.0)
 _K = partial(eigenpairs, _DOM)
 _SOLVE_P = partial(solve, _DOM, cfg=SolveConfig(K=16))
-_PROFILE_N = partial(ExtremalProfile, epsilon=0.1)
-_EPSILON = partial(ExtremalProfile, 2)
-_R = partial(extremal_quotient, _PROFILE, M=100)
-_M = partial(extremal_quotient, _PROFILE, 10.0)
+_EPSILON = partial(extremal_quotient, R=10.0, M=100)
+# epsilon is read before M and R, so a bad epsilon is named even when they are bad too
+_EPSILON_FIRST = partial(extremal_quotient, R=math.nan, M=10)
+_R = partial(extremal_quotient, 0.1, M=100)
+_M = partial(extremal_quotient, 0.1, 10.0)
 _Y = partial(evaluate_extension, _F)
 _H = partial(dtn_fd, _F)
 _C_MINUS = partial(stability_margin, _DOM)
@@ -604,8 +613,8 @@ _C_MINUS = partial(stability_margin, _DOM)
         (_SOLVE_P, 1.0, ConfigError, "p must be at least 1.1, got 1.0"),
         (critical_exponent, 0, ValueError, "dimension n must be at least 1, got 0"),
         (best_trace_constant, 1, ValueError, "dimension n must be at least 2, got 1"),
-        (_PROFILE_N, 2.0, ValueError, "dimension n must be an integer"),
-        (_PROFILE_N, 1, ValueError, "dimension n must be at least 2, got 1"),
+        (_EPSILON, True, ValueError, "epsilon must be a real number, got True"),
+        (_EPSILON_FIRST, -1.0, ValueError, "epsilon must be greater than 0, got -1.0"),
         (_EPSILON, "0.1", ValueError, "epsilon must be a real number"),
         (_EPSILON, math.inf, ValueError, "epsilon must be finite, got inf"),
         (_EPSILON, 0.0, ValueError, "epsilon must be greater than 0, got 0.0"),
@@ -651,3 +660,7 @@ def test_integer_arguments_accept_numpy_integers():
     assert eigenpairs(dom, np.int64(16)).K == 16
     assert critical_exponent(np.int64(3)) == 2.0
     assert best_trace_constant(np.int16(2)) == best_trace_constant(2)
+    assert check_symmetry(_PLANE, np.int64(1)).name == "symmetry_axis1"
+    assert check_monotonicity(_PLANE, np.int64(1)).name == "monotonicity_axis1"
+    flipped = np.flip(_PLANE.reshaped(), axis=1).ravel()
+    np.testing.assert_array_equal(reflect(_PLANE, np.int64(1)).values, flipped)

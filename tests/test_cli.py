@@ -295,6 +295,33 @@ def test_config_bool_accepts_only_known_tokens(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SOLVE_BASE = {"domain": "interval:1:64", "p": 2, "modes": 16}
+
+
+@pytest.mark.parametrize(
+    "key, command, base",
+    [
+        ("tol_residual", "solve", _SOLVE_BASE),
+        ("p", "solve", _SOLVE_BASE),
+        ("init_perturbation", "solve", _SOLVE_BASE),
+        ("c_minus", "check", _SOLVE_BASE),
+        ("y", "extend", {"domain": "interval:1:64", "modes": 16, "mode": 1}),
+        ("output", "solve", _SOLVE_BASE),
+    ],
+)
+def test_json_config_bool_is_refused_for_a_non_boolean_option(
+    key, command, base, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**base, key: True}))
+    code = run([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"bad value for {key}" in captured.err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_check_rejects_nonpositive_mp_samples(capsys):
     for samples in ("0", "-3"):
         code = run(["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",

@@ -7,7 +7,6 @@ import pytest
 
 import dense_reference as ref
 from halflap import (
-    ExtremalProfile,
     SpectralFn,
     TruncationError,
     apply_A_half,
@@ -128,7 +127,7 @@ def test_trace_constant_rejects_dimension_one():
 
 
 def test_extremal_quotient_matches_reference_quadrature():
-    got = extremal_quotient(ExtremalProfile(2, 1.0), 50.0, 512)
+    got = extremal_quotient(1.0, 50.0, 512)
     want = ref.extremal_quotient_reference(1.0, 50.0, 512)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(1.7110808687, abs=1e-9)
@@ -144,22 +143,18 @@ def test_extremal_quotient_frozen_values():
 
 
 def test_extremal_quotient_scale_invariance_coarse():
-    q1 = extremal_quotient(ExtremalProfile(2, 1.0), 100.0, 1024)
-    q2 = extremal_quotient(ExtremalProfile(2, 2.0), 100.0, 1024)
+    q1 = extremal_quotient(1.0, 100.0, 1024)
+    q2 = extremal_quotient(2.0, 100.0, 1024)
     assert abs(q2 - q1) <= 0.02 * q1
 
 
 def test_extremal_quotient_flags_short_truncation():
     with pytest.raises(TruncationError):
-        extremal_quotient(ExtremalProfile(2, 1.0), 0.5, 512)
+        extremal_quotient(1.0, 0.5, 512)
 
 
 def test_extremal_profile_validation():
     with pytest.raises(ValueError):
-        ExtremalProfile(1, 1.0)
+        extremal_quotient(-1.0, 50.0, 512)
     with pytest.raises(ValueError):
-        ExtremalProfile(2, -1.0)
-    with pytest.raises(ValueError):
-        extremal_quotient(ExtremalProfile(3, 1.0), 50.0, 512)
-    with pytest.raises(ValueError):
-        extremal_quotient(ExtremalProfile(2, 1.0), 50.0, 32)
+        extremal_quotient(1.0, 50.0, 32)

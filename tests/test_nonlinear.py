@@ -20,6 +20,7 @@ from halflap import (
     make_rectangle,
     solve,
     sweep,
+    synthesize,
 )
 
 UNIT_INTERVAL = make_interval(1.0, 256)
@@ -188,7 +189,7 @@ def test_solve_1d_report_facts():
 def test_report_is_what_the_loop_measured(domain, K):
     # every defect field equals its definition evaluated on the solution, bit for bit
     rep = solve(domain, 2.0, SolveConfig(p=2.0, K=K))
-    u = rep.solution_grid
+    u = synthesize(rep.solution)
     assert (rep.residual_inf, rep.equation_defect) == _defects(
         rep.solution.basis, rep.solution.coeffs, 2.0
     )
@@ -225,7 +226,7 @@ def test_unit_cube_solve_is_positive_and_symmetric_in_all_three_axes():
     assert rep.converged, rep.detail
     assert rep.positivity_min > 0
     for axis in range(3):
-        assert check_symmetry(rep.solution_grid, axis).metric <= 1e-8 * rep.sup_norm
+        assert check_symmetry(synthesize(rep.solution), axis).metric <= 1e-8 * rep.sup_norm
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])

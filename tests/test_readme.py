@@ -28,3 +28,10 @@ def test_command_line_examples_exit_0(tmp_path):
     assert commands
     for i, argv in enumerate(commands):
         assert main(argv + ["--output", str(tmp_path / f"{i}.out")]) == 0, argv
+
+
+def test_config_file_example_parses(tmp_path):
+    (block,) = _blocks("ini")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "out.json")]) == 0

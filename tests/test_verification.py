@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import halflap.verification as verification
 from halflap import (
+    DomainMismatchError,
     GridFn,
     SolveConfig,
     check_hopf,
@@ -23,6 +24,7 @@ from halflap import (
     reflect,
     solve,
     stability_margin,
+    synthesize,
 )
 
 UNIT_INTERVAL = make_interval(1.0, 256)
@@ -71,14 +73,14 @@ def test_reflect_2d_axes_commute():
 def test_weak_mp_on_nonnegative_bump(basis_1d):
     x = UNIT_INTERVAL.axis_nodes(0)
     g = GridFn(UNIT_INTERVAL, np.maximum(np.sin(math.pi * x), 0.0))
-    rep = check_weak_mp(UNIT_INTERVAL, basis_1d, g)
+    rep = check_weak_mp(basis_1d, g)
     assert rep.passed
     assert rep.metric >= -1e-8 * np.max(g.values)
 
 
 def test_weak_mp_zero_source(basis_1d):
     g = GridFn(UNIT_INTERVAL, np.zeros(UNIT_INTERVAL.num_nodes))
-    rep = check_weak_mp(UNIT_INTERVAL, basis_1d, g)
+    rep = check_weak_mp(basis_1d, g)
     assert rep.passed
     assert rep.metric == 0.0
 
@@ -87,7 +89,7 @@ def test_weak_mp_rejects_signed_source(basis_1d):
     vals = np.ones(UNIT_INTERVAL.num_nodes)
     vals[7] = -1e-6
     with pytest.raises(ValueError):
-        check_weak_mp(UNIT_INTERVAL, basis_1d, GridFn(UNIT_INTERVAL, vals))
+        check_weak_mp(basis_1d, GridFn(UNIT_INTERVAL, vals))
 
 
 def _sources(domain, count):
@@ -101,28 +103,28 @@ def _sources(domain, count):
 def test_weak_mp_over_many_sources_reports_the_worst_single_source(domain, K, count):
     basis = eigenpairs(domain, K)
     sources = _sources(domain, count)
-    singles = [check_weak_mp(domain, basis, g) for g in sources]
+    singles = [check_weak_mp(basis, g) for g in sources]
     worst = min(singles, key=lambda rep: rep.metric + rep.tolerance)
     assert singles.index(worst) > 0
-    assert check_weak_mp(domain, basis, *sources) == worst
+    assert check_weak_mp(basis, *sources) == worst
 
 
 def test_weak_mp_first_of_tied_sources_wins(basis_1d, monkeypatch):
     (g,) = _sources(UNIT_INTERVAL, 1)
     g = GridFn(UNIT_INTERVAL, g.values / g.values.max())  # sup g = 1 exactly
-    m = check_weak_mp(UNIT_INTERVAL, basis_1d, g).metric
+    m = check_weak_mp(basis_1d, g).metric
     doubled = GridFn(UNIT_INTERVAL, 2.0 * g.values)
     # doubling is exact through B_half, so at relative tolerance -m the metric +
     # tolerance of g and of 2g are both exactly 0 while their reports differ
     monkeypatch.setattr(verification, "WEAK_MP_REL_TOL", -m)
-    assert check_weak_mp(UNIT_INTERVAL, basis_1d, g, doubled).metric == m
-    assert check_weak_mp(UNIT_INTERVAL, basis_1d, doubled, g).metric == 2.0 * m
+    assert check_weak_mp(basis_1d, g, doubled).metric == m
+    assert check_weak_mp(basis_1d, doubled, g).metric == 2.0 * m
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 @pytest.mark.parametrize(
     "bad, message",
-    [("signed", "requires g >= 0 pointwise"), ("other domain", "must agree")],
+    [("signed", "requires g >= 0 pointwise"), ("other domain", "must share")],
 )
 def test_weak_mp_rejects_a_bad_source_at_any_position(basis_1d, position, bad, message):
     good = GridFn(UNIT_INTERVAL, np.ones(UNIT_INTERVAL.num_nodes))
@@ -130,16 +132,19 @@ def test_weak_mp_rejects_a_bad_source_at_any_position(basis_1d, position, bad, m
         vals = np.ones(UNIT_INTERVAL.num_nodes)
         vals[7] = -1e-6
         source = GridFn(UNIT_INTERVAL, vals)
+        error = ValueError
     else:
+        # analyze refuses it, as every transform refuses a function on another domain
         source = GridFn(make_interval(2.0, 256), np.ones(UNIT_INTERVAL.num_nodes))
+        error = DomainMismatchError
     sources = [good, good]
     sources.insert(position, source)
-    with pytest.raises(ValueError, match=message):
-        check_weak_mp(UNIT_INTERVAL, basis_1d, *sources)
+    with pytest.raises(error, match=message):
+        check_weak_mp(basis_1d, *sources)
 
 
 def test_positivity_of_solution(solved_1d):
-    rep = check_positivity(solved_1d.solution_grid)
+    rep = check_positivity(synthesize(solved_1d.solution))
     assert rep.passed
     assert rep.metric > 0
 
@@ -173,7 +178,7 @@ def test_symmetry_fails_on_odd_mode():
 
 def test_symmetry_of_solution_on_square():
     rep2 = solve(make_rectangle(1.0, 1.0, 64, 64), 2.0, SolveConfig(p=2.0, K=60))
-    u = rep2.solution_grid
+    u = synthesize(rep2.solution)
     assert check_symmetry(u, 0).passed
     assert check_symmetry(u, 1).passed
 
@@ -197,7 +202,7 @@ def test_monotonicity_fails_on_oscillatory_mode():
 
 
 def test_monotonicity_of_solution(solved_1d):
-    assert check_monotonicity(solved_1d.solution_grid, 0).passed
+    assert check_monotonicity(synthesize(solved_1d.solution), 0).passed
 
 
 def test_hopf_quotient_of_ground_mode():
@@ -214,7 +219,7 @@ def test_hopf_fails_on_zero():
 
 
 def test_hopf_of_solution(solved_1d):
-    assert check_hopf(solved_1d.solution_grid).passed
+    assert check_hopf(synthesize(solved_1d.solution)).passed
 
 
 def test_margin_exact_cases():
