@@ -209,20 +209,29 @@ class EigenBasis:
             for a, (count, N) in enumerate(zip(self.max_indices, self.domain.grid_counts))
         )
 
-    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
 
         C, shaped like max_indices, holds the coefficients; each axis of C in turn
         is contracted with its factor, or its two blocks, and moved last, leaving
-        the nodes in C order.
+        the nodes in C order. As with numpy's out=, the values go into out, a
+        float array of num_nodes entries that must reshape to (-1, N_last - 1)
+        without a copy, and out is returned; without out they go into a new
+        flat array.
         """
         c = np.zeros(self.max_indices)
         c[self.factor_rows] = coeffs
-        for count, nodes, m in zip(self.max_indices, self.domain.shape, self.factors):
+        if out is None:
+            out = np.empty(self.domain.num_nodes)
+        last = len(self.factors) - 1
+        for axis, (count, nodes, m) in enumerate(
+            zip(self.max_indices, self.domain.shape, self.factors)
+        ):
             c = c.reshape(count, -1).T
-            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes)
-                 if isinstance(m, tuple) else c @ m)
-        return c.ravel()
+            dest = out.reshape(-1, nodes, copy=False) if axis == last else None
+            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
+                 if isinstance(m, tuple) else np.matmul(c, m, out=dest))
+        return out
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
@@ -238,13 +247,19 @@ class EigenBasis:
         return c.reshape(self.max_indices)[self.factor_rows] * self.domain.weight
 
 
-def _unfold(a: np.ndarray, e: np.ndarray, nodes: int) -> np.ndarray:
-    """Node values from the odd-j and even-j sums a, e on the first half of the nodes.
+def _unfold(a: np.ndarray, e: np.ndarray, nodes: int, out: np.ndarray | None) -> np.ndarray:
+    """Node values from the odd-j and even-j sums a, e on the first half of the nodes,
+    written into out (a new array if None), shaped (rows, nodes).
 
     Node i of the first half is a + e; its mirror N - i, counted from the last
     node, is a - e. The midpoint of an even N is its own mirror and is not repeated.
     """
-    return np.concatenate((a + e, (a - e)[:, nodes - a.shape[1] - 1 :: -1]), axis=1)
+    half = a.shape[1]
+    if out is None:
+        out = np.empty((a.shape[0], nodes))
+    np.add(a, e, out=out[:, :half])
+    np.subtract(a[:, : nodes - half], e[:, : nodes - half], out=out[:, :half - 1 : -1])
+    return out
 
 
 def _fold(v: np.ndarray, odd: np.ndarray, even: np.ndarray) -> np.ndarray:

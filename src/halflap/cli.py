@@ -220,6 +220,9 @@ def _cast(key: str, value):
             if value not in kind:
                 raise ValueError("expected one of " + "/".join(kind))
             return value
+        if kind is str and not isinstance(value, str):
+            # a JSON number would otherwise read as its text: a path "5" or a list "3"
+            raise ValueError("expected a string")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc

@@ -160,27 +160,28 @@ def _check_dealiasing(basis: EigenBasis) -> None:
             )
 
 
-def _constraint_scale(values: np.ndarray, weight: float, p: float) -> float:
-    return float((np.sum(np.abs(values) ** (p + 1)) * weight) ** (1.0 / (p + 1)))
+def _constraint_scale(magnitudes: np.ndarray, weight: float, p: float) -> float:
+    """L^(p+1) norm of grid values from their magnitudes, which it raises to p + 1 in place."""
+    magnitudes **= p + 1
+    return float((np.sum(magnitudes) * weight) ** (1.0 / (p + 1)))
 
 
-def _evaluate(basis: EigenBasis, u: np.ndarray, p: float):
-    """Grid values of the coefficients u, the clipped power u^p on the grid,
-    its mode projection, and the projected residual sup |A_half u - projection|.
+def _project(basis: EigenBasis, u: np.ndarray, p: float, buf: np.ndarray):
+    """The mode projection of the clipped power max(u, 0)^p of the coefficients
+    u on the grid, and the projected residual sup |A_half u - projection|.
 
-    The fixed-point loop measures through this one expression, so a solve
-    reports exactly the residual its iteration measured.
+    Both grids pass through buf, a node array that the solve allocates once, so
+    a step allocates no node-sized array. The fixed-point loop measures through
+    this one function, so a solve reports exactly the residual its iteration
+    measured.
     """
-    grid = basis.to_grid(u)
-    power = np.maximum(grid, 0.0) ** p
-    projection = basis.to_coeffs(power)
-    res = float(np.max(np.abs(basis.to_grid(u * basis.sqrt_lambdas - projection))))
-    return grid, power, projection, res
-
-
-def _equation_defect(basis: EigenBasis, u: np.ndarray, power: np.ndarray) -> float:
-    """Unprojected sup-norm defect of A_half u = u^p at the nodes."""
-    return float(np.max(np.abs(basis.to_grid(u * basis.sqrt_lambdas) - power)))
+    basis.to_grid(u, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    buf **= p
+    projection = basis.to_coeffs(buf)
+    basis.to_grid(u * basis.sqrt_lambdas - projection, out=buf)
+    np.abs(buf, out=buf)
+    return projection, float(buf.max())
 
 
 def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
@@ -190,7 +191,7 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
     )
 
 
-def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
+def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig, buf: np.ndarray):
     """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
 
     Each step maps the coefficients u to the plain step
@@ -200,27 +201,28 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig):
     |f - gamma F| over the rows F of residual differences, and are solved from
     the normal equations (F F^T) gamma = F f. If that system is singular, the
     mix is nonfinite, or the measured residual is above ANDERSON_RESTART times
-    the best, the step is g and the history is cleared.
+    the best, the step is g and the history is cleared. The start and every
+    step work in the node array buf, which the caller reads as scratch after.
 
-    Returns (best, steps, stop). best is (u coefficients, grid values, clipped
-    power, projected residual) of the iterate with the smallest projected
-    residual, or None after a nonfinite iterate; stop is "" when the target
-    was met, else the reason the iteration ended.
+    Returns (best, steps, stop). best is (u coefficients, projected residual)
+    of the iterate with the smallest projected residual, or None after a
+    nonfinite iterate; stop is "" when the target was met, else the reason the
+    iteration ended.
     """
     s = basis.sqrt_lambdas
-    w = basis.to_grid(np.eye(1, basis.K)[0])  # the ground mode
+    basis.to_grid(np.eye(1, basis.K)[0], out=buf)  # the ground mode
     if cfg.init_perturbation > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        w = w + cfg.init_perturbation * basis.to_grid(rng.standard_normal(basis.K))
-    u = basis.to_coeffs(np.abs(w))
+        buf += cfg.init_perturbation * basis.to_grid(rng.standard_normal(basis.K))
+    u = basis.to_coeffs(np.abs(buf, out=buf))
     target = max(cfg.tol_residual * 1e-2, 1e-14)
     best, best_res, best_step = None, math.inf, 0
     dg, df = [], []  # differences of the last plain steps and of their residuals
     step = 0
     while True:
-        grid, power, Pu, res = _evaluate(basis, u, p)
+        Pu, res = _project(basis, u, p, buf)
         if res < best_res:
-            best, best_res, best_step = (u, grid, power, res), res, step
+            best, best_res, best_step = (u, res), res, step
         if best_res <= target:
             return best, step, ""
         if step == cfg.max_iter:
@@ -273,25 +275,32 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
-    best, steps, stop = _fixed_point(basis, p, cfg)
+    buf = np.empty(domain.num_nodes)  # the one node array of the loop and the report
+    best, steps, stop = _fixed_point(basis, p, cfg, buf)
     if best is None:
         return _diverged_report(domain, p, cfg, stop)
-    u_coeffs, grid, power, projected = best
-    u_grid = GridFn(domain, grid)
+    u_coeffs, projected = best
+    u_grid = GridFn(domain, basis.to_grid(u_coeffs, out=buf))
+    grid = u_grid.values
     converged = bool(projected <= cfg.tol_residual)
+    sup_norm = float(np.abs(grid, out=buf).max())
     # the extension energy over the squared L^(p+1) norm, which is scale free
     energy = float(np.sum(basis.sqrt_lambdas * u_coeffs * u_coeffs))
-    I0 = energy / _constraint_scale(grid, domain.weight, p) ** 2
+    I0 = energy / _constraint_scale(buf, domain.weight, p) ** 2
+    # the unprojected sup-norm defect of A_half u = u^p at the nodes
+    np.maximum(grid, 0.0, out=buf)
+    buf **= p
+    np.subtract(basis.to_grid(u_coeffs * basis.sqrt_lambdas), buf, out=buf)
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
         I0=I0,
         residual_inf=projected,
-        equation_defect=_equation_defect(basis, u_coeffs, power),
-        sup_norm=float(np.max(np.abs(grid))),
+        equation_defect=float(np.abs(buf, out=buf).max()),
+        sup_norm=sup_norm,
         iterations=steps,
         converged=converged,
         symmetry_defect=max(check_symmetry(u_grid, axis).metric for axis in range(domain.n)),
-        positivity_min=float(np.min(grid)),
+        positivity_min=float(grid.min()),
         p=p,
         K=cfg.K,
         tol_residual=cfg.tol_residual,

@@ -130,6 +130,21 @@ def test_to_coeffs_inverts_to_grid(domain, K):
     assert np.max(np.abs(basis.to_coeffs(values) - b)) <= ORTHO_TOL * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize(
+    "dims, K",
+    [((1.0, 256), 64), ((2.0, 1.0, 256, 128), 127), ((1.0, 1.0, 1.0, 16, 16, 16), 20)]
+    + FOLDED,
+)
+def test_to_grid_writes_into_out(dims, K):
+    # 256/K64 ends on a direct axis, 1024/K256 and 1023/K255 on a folded one, and
+    # the long rectangle folds its first axis and ends on a direct one
+    basis = eigenpairs(_domain(dims), K)
+    b = np.random.default_rng(13).standard_normal(K)
+    buf = np.full(basis.domain.num_nodes, np.nan)
+    assert basis.to_grid(b, out=buf) is buf
+    np.testing.assert_array_equal(buf, basis.to_grid(b))
+
+
 def _brute_force_modes(dims, K):
     """(eigenvalue, j_1, ..., j_n) of the first K modes, sorting every index tuple
     the grid holds."""

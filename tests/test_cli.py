@@ -322,6 +322,29 @@ def test_json_config_bool_is_refused_for_a_non_boolean_option(
     assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
 
 
+@pytest.mark.parametrize(
+    "key, command, base",
+    [
+        ("output", "solve", _SOLVE_BASE),
+        ("domain", "solve", {"p": 2, "modes": 16}),
+        ("coeffs", "apply", {"domain": "interval:1:64", "modes": 16, "op": "a-half"}),
+        ("p_list", "sweep", {"domain": "interval:1:64", "modes": 16}),
+    ],
+)
+def test_json_config_number_is_refused_for_a_string_option(
+    key, command, base, tmp_path, monkeypatch, capsys
+):
+    # a number used to pass through str(): {"output": 5} wrote the report to a file named 5
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**base, key: 5}))
+    code = run([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"bad value for {key}: 5 (expected a string)" in captured.err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_check_rejects_nonpositive_mp_samples(capsys):
     for samples in ("0", "-3"):
         code = run(["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",

@@ -354,13 +354,13 @@ def test_constraint_norm_is_taken_once_per_solve(monkeypatch):
 def test_zero_projection_ends_in_the_nonfinite_report(monkeypatch):
     # the Nehari ratio divides by u . P(u^p); a zero projection must end the
     # solve with the diverged report, not a division error or a warning
-    evaluate = nonlinear._evaluate
+    project = nonlinear._project
 
-    def zero_projection(basis, u, p):
-        grid, power, projection, res = evaluate(basis, u, p)
-        return grid, power, np.zeros_like(projection), res
+    def zero_projection(basis, u, p, buf):
+        projection, res = project(basis, u, p, buf)
+        return np.zeros_like(projection), res
 
-    monkeypatch.setattr(nonlinear, "_evaluate", zero_projection)
+    monkeypatch.setattr(nonlinear, "_project", zero_projection)
     rep = solve(UNIT_INTERVAL, 2.0, cfg_1d())
     assert not rep.converged
     assert rep.solution is None

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import halflap.verification as verification
 from halflap import (
+    DiscreteDomain,
     DomainMismatchError,
     GridFn,
     SolveConfig,
@@ -68,6 +69,20 @@ def test_reflect_2d_axes_commute():
     b = reflect(reflect(u, 1), 0).values
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(reflect(reflect(u, 1), 1).values, u.values)
+
+
+@pytest.mark.parametrize("dims", [(1.0, 64), (1.0, 2.0, 8, 17), (2.0, 1.0, 1.5, 9, 12, 8)])
+def test_symmetry_metric_is_the_reflected_difference(dims):
+    # the metric is sup |u - reflect(u, axis)| bit for bit, on every axis
+    n = len(dims) // 2
+    dom = DiscreteDomain(dims[:n], dims[n:])
+    rng = np.random.default_rng(21)
+    for values in (rng.standard_normal(dom.num_nodes), rng.uniform(0.0, 3.0, dom.num_nodes)):
+        u = GridFn(dom, values)
+        for axis in range(n):
+            report = check_symmetry(u, axis)
+            assert report.metric == float(np.max(np.abs(u.values - reflect(u, axis).values)))
+            assert report.tolerance == verification.SYMMETRY_REL_TOL * float(np.max(np.abs(values)))
 
 
 def test_weak_mp_on_nonnegative_bump(basis_1d):
