@@ -228,7 +228,9 @@ class EigenBasis:
             zip(self.max_indices, self.domain.shape, self.factors)
         ):
             c = c.reshape(count, -1).T
-            dest = out.reshape(-1, nodes, copy=False) if axis == last else None
+            dest = out.reshape(-1, nodes) if axis == last else None
+            if dest is not None and not np.may_share_memory(dest, out):
+                raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
             c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
                  if isinstance(m, tuple) else np.matmul(c, m, out=dest))
         return out

@@ -160,10 +160,9 @@ def _check_dealiasing(basis: EigenBasis) -> None:
             )
 
 
-def _constraint_scale(magnitudes: np.ndarray, weight: float, p: float) -> float:
-    """L^(p+1) norm of grid values from their magnitudes, which it raises to p + 1 in place."""
-    magnitudes **= p + 1
-    return float((np.sum(magnitudes) * weight) ** (1.0 / (p + 1)))
+def _constraint_scale(powered: np.ndarray, weight: float, p: float) -> float:
+    """L^(p+1) norm of grid values from their magnitudes raised to p + 1."""
+    return float((np.sum(powered) * weight) ** (1.0 / (p + 1)))
 
 
 def _project(basis: EigenBasis, u: np.ndarray, p: float, buf: np.ndarray):
@@ -286,6 +285,7 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     sup_norm = float(np.abs(grid, out=buf).max())
     # the extension energy over the squared L^(p+1) norm, which is scale free
     energy = float(np.sum(basis.sqrt_lambdas * u_coeffs * u_coeffs))
+    buf **= p + 1
     I0 = energy / _constraint_scale(buf, domain.weight, p) ** 2
     # the unprojected sup-norm defect of A_half u = u^p at the nodes
     np.maximum(grid, 0.0, out=buf)

@@ -145,6 +145,14 @@ def test_to_grid_writes_into_out(dims, K):
     np.testing.assert_array_equal(buf, basis.to_grid(b))
 
 
+def test_to_grid_refuses_an_out_it_cannot_view():
+    # a transposed node array reshapes to the node rows only as a copy, which
+    # would take the values and leave out unwritten
+    basis = eigenpairs(_domain((2.0, 1.0, 256, 128)), 127)
+    with pytest.raises(ValueError, match="without a copy"):
+        basis.to_grid(np.ones(127), out=np.empty((255, 127)).T)
+
+
 def _brute_force_modes(dims, K):
     """(eigenvalue, j_1, ..., j_n) of the first K modes, sorting every index tuple
     the grid holds."""
