@@ -212,41 +212,126 @@ class EigenBasis:
     def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
 
-        C, shaped like max_indices, holds the coefficients; each axis of C in turn
-        is contracted with its factor, or its two blocks, and moved last, leaving
-        the nodes in C order. As with numpy's out=, the values go into out, a
-        float array of num_nodes entries that must reshape to (-1, N_last - 1)
-        without a copy, and out is returned; without out they go into a new
-        flat array.
+        As with numpy's out=, the values go into out, a float array of num_nodes
+        entries that must reshape to (-1, N_last - 1) without a copy, and out is
+        returned; without out they go into a new flat array.
         """
-        c = np.zeros(self.max_indices)
-        c[self.factor_rows] = coeffs
-        if out is None:
-            out = np.empty(self.domain.num_nodes)
-        last = len(self.factors) - 1
-        for axis, (count, nodes, m) in enumerate(
-            zip(self.max_indices, self.domain.shape, self.factors)
-        ):
-            c = c.reshape(count, -1).T
-            dest = out.reshape(-1, nodes) if axis == last else None
-            if dest is not None and not np.may_share_memory(dest, out):
-                raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
-            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
-                 if isinstance(m, tuple) else np.matmul(c, m, out=dest))
-        return out
+        return _to_grid(coeffs, self.max_indices, self.factor_rows, self.factors,
+                        self.domain.shape, out)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
+        """Coefficients <u, phi_k> of the grid values u, by the node quadrature."""
+        return _to_coeffs(values, self.max_indices, self.factor_rows, self.factors,
+                          self.domain.shape, self.domain.weight)
 
-        to_grid transposed: each node axis in turn is contracted with its factor,
-        or its two blocks, and moved last; each mode then reads its entry, times
-        the node weight.
+    @cached_property
+    def sector(self) -> SymmetricSector:
+        """The modes whose sine indices are all odd, on the first half of each axis.
+
+        Its blocks are the odd-j rows of each factor on nodes 1..N_a // 2: a
+        folded axis's odd block itself, a direct axis's rows copied out.
         """
-        c = values
-        for nodes, m in zip(self.domain.shape, self.factors):
-            c = c.reshape(nodes, -1)
-            c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
-        return c.reshape(self.max_indices)[self.factor_rows] * self.domain.weight
+        positions = np.flatnonzero(np.all([r % 2 == 0 for r in self.factor_rows], axis=0))
+        rows = tuple(r[positions] // 2 for r in self.factor_rows)
+        sqrt_lambdas = self.sqrt_lambdas[positions]
+        blocks, weighted = [], []
+        for form, r, N in zip(self.factors, rows, self.domain.grid_counts):
+            odd = form[0] if isinstance(form, tuple) else form[::2, : N // 2]
+            block = np.ascontiguousarray(odd[: int(r.max()) + 1])
+            # node i < N / 2 stands for itself and its mirror N - i; the midpoint
+            # of an even N is its own mirror
+            w = np.full(N // 2, 2.0)
+            if N % 2 == 0:
+                w[-1] = 1.0
+            blocks.append(block)
+            weighted.append(block * w)
+        for m in (positions, sqrt_lambdas, *rows, *blocks, *weighted):
+            m.flags.writeable = False
+        return SymmetricSector(
+            domain=self.domain, positions=positions, sqrt_lambdas=sqrt_lambdas,
+            factor_rows=rows, factors=tuple(blocks), weighted_factors=tuple(weighted),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricSector:
+    """The modes of an EigenBasis whose sine indices are all odd, on half the grid.
+
+    Reflection across the midline of axis a maps sine j to (-1)^(j+1) times
+    itself, so these modes span the grid functions that are even in every
+    axis, and such a function is known from its values on nodes 1..N_a // 2 of
+    each axis. positions are the modes' places in the basis's K-vector, in
+    order, and factor_rows[a] the row of each in factors[a], the odd-j rows of
+    the sine factor on those nodes. to_grid and to_coeffs are the basis's
+    transforms restricted to the sector: to_coeffs weighs each node by the
+    nodes it stands for, 2 per axis, or 1 on the midpoint of an even N_a,
+    through weighted_factors, the blocks times those weights.
+    """
+
+    domain: DiscreteDomain
+    positions: np.ndarray
+    sqrt_lambdas: np.ndarray
+    factor_rows: tuple[np.ndarray, ...]
+    factors: tuple[np.ndarray, ...]
+    weighted_factors: tuple[np.ndarray, ...]
+
+    @property
+    def K(self) -> int:
+        """Mode count."""
+        return self.positions.size
+
+    @cached_property
+    def max_indices(self) -> tuple[int, ...]:
+        """Odd rows used on each axis."""
+        return tuple(len(m) for m in self.factors)
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """Half-grid node count per axis, N_a // 2."""
+        return tuple(N // 2 for N in self.domain.grid_counts)
+
+    @property
+    def num_nodes(self) -> int:
+        return math.prod(self.shape)
+
+    def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-grid values of the sector coefficients; out as in EigenBasis.to_grid."""
+        return _to_grid(coeffs, self.max_indices, self.factor_rows, self.factors, self.shape, out)
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Sector coefficients of the even grid function with these half-grid values."""
+        return _to_coeffs(values, self.max_indices, self.factor_rows, self.weighted_factors,
+                          self.shape, self.domain.weight)
+
+
+def _to_grid(coeffs, counts, rows, factors, shape, out):
+    """to_grid of a basis or a sector: C, shaped like counts, holds the
+    coefficients at rows; each axis of C in turn is contracted with its factor,
+    or its two blocks, and moved last, leaving the nodes in C order."""
+    c = np.zeros(counts)
+    c[rows] = coeffs
+    if out is None:
+        out = np.empty(math.prod(shape))
+    last = len(factors) - 1
+    for axis, (count, nodes, m) in enumerate(zip(counts, shape, factors)):
+        c = c.reshape(count, -1).T
+        dest = out.reshape(-1, nodes) if axis == last else None
+        if dest is not None and not np.may_share_memory(dest, out):
+            raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
+        c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
+             if isinstance(m, tuple) else np.matmul(c, m, out=dest))
+    return out
+
+
+def _to_coeffs(values, counts, rows, factors, shape, weight):
+    """to_coeffs of a basis or a sector, _to_grid transposed: each node axis in
+    turn is contracted with its factor, or its two blocks, and moved last; each
+    mode then reads its entry, times the node weight."""
+    c = values
+    for nodes, m in zip(shape, factors):
+        c = c.reshape(nodes, -1)
+        c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
+    return c.reshape(counts)[rows] * weight
 
 
 def _unfold(a: np.ndarray, e: np.ndarray, nodes: int, out: np.ndarray | None) -> np.ndarray:

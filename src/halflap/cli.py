@@ -243,6 +243,20 @@ def _parse_domain(spec: str | None) -> DiscreteDomain:
         raise ConfigError(f"bad domain spec {spec!r}: {exc}") from exc
 
 
+def _number_list(option: str, text: str) -> list[float]:
+    """The numbers of a comma-separated option; an empty or unparsable entry is
+    refused by its 1-based position, so no entry shifts the ones after it."""
+    values = []
+    for pos, token in enumerate(text.split(","), 1):
+        if not token.strip():
+            raise ConfigError(f"{option} entry {pos} is empty in {text!r}")
+        try:
+            values.append(float(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad {option} entry {pos}: {token!r}") from exc
+    return values
+
+
 def _build_config(args) -> SolveConfig:
     fields = {"modes": "K", "seed": "rng_seed"}  # where option and field names differ
     values = {fields.get(key, key): getattr(args, key, None) for key in ("p",) + _SOLVER}
@@ -254,10 +268,7 @@ def _input_fn(basis, args) -> SpectralFn:
         raise ConfigError("give either --coeffs or --mode, not both")
     b = np.zeros(basis.K)
     if args.coeffs is not None:
-        try:
-            vals = [float(t) for t in args.coeffs.split(",") if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --coeffs list: {exc}") from exc
+        vals = _number_list("--coeffs", args.coeffs)
         if len(vals) > basis.K:
             raise ConfigError(f"got {len(vals)} coefficients for {basis.K} modes")
         b[: len(vals)] = vals
@@ -308,21 +319,16 @@ def _cmd_solve(args, domain):
     cfg = _build_config(args)
     report = solve(domain, cfg.p, cfg)
     header = [
-        "p", "I0", "residual_inf", "equation_defect",
-        "sup_norm", "symmetry_defect", "positivity_min", "iterations", "converged",
+        "p", "I0", "residual_inf", "equation_defect", "sup_norm", "iterations", "converged",
     ]
     row = [getattr(report, key) for key in header]
     return 0 if report.converged else 1, _report_dict(report), header, [row]
 
 
 def _cmd_sweep(args, domain):
-    try:
-        exponents = [float(t) for t in (args.p_list or "").split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --p-list: {exc}") from exc
-    if not exponents:
+    if args.p_list is None:
         raise ConfigError("sweep requires --p-list, a comma-separated list of exponents")
-    reports = sweep(domain, exponents, _build_config(args))
+    reports = sweep(domain, _number_list("--p-list", args.p_list), _build_config(args))
     code = 0 if all(r.converged for r in reports) else 1
     doc = {"rows": [_report_dict(r, with_coeffs=False) for r in reports]}
     rows = ((r.p, r.sup_norm, r.residual_inf, r.converged) for r in reports)

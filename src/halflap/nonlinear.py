@@ -18,6 +18,14 @@ so far, clears the history and takes the plain step instead. The solve
 reports the iterate with the smallest projected residual, and stops at
 1e-2 * tol_residual, at max_iter steps, or after STALL_STEPS steps without a
 new best residual.
+
+The unperturbed ground mode is even across every axis midline, and so are u^p
+and its projection, so from that start the iteration never leaves the modes
+whose sine indices are all odd. It runs there, on nodes 1..N_a // 2 of each
+axis (EigenBasis.sector), and the other modes of the solution are exact
+zeros; parity reductions of this kind are standard for spectral methods
+(Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 8). A
+perturbed start leaves that span and iterates in the whole basis.
 """
 
 from __future__ import annotations
@@ -32,13 +40,12 @@ from .basis import (
     DiscreteDomain,
     DomainError,
     EigenBasis,
-    GridFn,
+    SymmetricSector,
     as_integer,
     as_real,
     eigenpairs,
 )
 from .spectral import SpectralFn
-from .verification import check_symmetry
 
 # p close to 1 degenerates the rescaling exponent 1/(p-1)
 MIN_EXPONENT = 1.1
@@ -119,8 +126,6 @@ class SolveReport:
     sup_norm: float = math.nan
     iterations: int = 0
     converged: bool = False
-    symmetry_defect: float = math.nan
-    positivity_min: float = math.nan
     p: float
     K: int
     tol_residual: float
@@ -165,14 +170,13 @@ def _constraint_scale(powered: np.ndarray, weight: float, p: float) -> float:
     return float((np.sum(powered) * weight) ** (1.0 / (p + 1)))
 
 
-def _project(basis: EigenBasis, u: np.ndarray, p: float, buf: np.ndarray):
+def _project(basis: EigenBasis | SymmetricSector, u: np.ndarray, p: float, buf: np.ndarray):
     """The mode projection of the clipped power max(u, 0)^p of the coefficients
     u on the grid, and the projected residual sup |A_half u - projection|.
 
-    Both grids pass through buf, a node array that the solve allocates once, so
-    a step allocates no node-sized array. The fixed-point loop measures through
-    this one function, so a solve reports exactly the residual its iteration
-    measured.
+    Both grids pass through buf, a node array of the basis or sector that the
+    solve allocates once, so a step allocates no node-sized array. The
+    fixed-point loop and the report measure through this one function.
     """
     basis.to_grid(u, out=buf)
     np.maximum(buf, 0.0, out=buf)
@@ -190,7 +194,9 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
     )
 
 
-def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig, buf: np.ndarray):
+def _fixed_point(
+    basis: EigenBasis | SymmetricSector, p: float, cfg: SolveConfig, buf: np.ndarray
+):
     """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
 
     Each step maps the coefficients u to the plain step
@@ -202,6 +208,7 @@ def _fixed_point(basis: EigenBasis, p: float, cfg: SolveConfig, buf: np.ndarray)
     mix is nonfinite, or the measured residual is above ANDERSON_RESTART times
     the best, the step is g and the history is cleared. The start and every
     step work in the node array buf, which the caller reads as scratch after.
+    basis is the solve's EigenBasis or, for a ground start, its sector.
 
     Returns (best, steps, stop). best is (u coefficients, projected residual)
     of the iterate with the smallest projected residual, or None after a
@@ -267,6 +274,10 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     A K whose modes reach a sine index j_a with 4 j_a > N_a on some axis raises
     ConfigError ("too coarse to dealias") before any sine is evaluated, and a K
     above the product of the N_a - 1 raises AliasingError, as in eigenpairs.
+
+    A ground start (init_perturbation 0) iterates in the basis's symmetric
+    sector and a perturbed one in the whole basis; either way the report
+    measures the solution's K coefficients on the whole basis and grid.
     """
     # replace reruns SolveConfig's checks on the effective exponent
     cfg = replace(cfg, p=_resolve_p(p, cfg))
@@ -274,13 +285,22 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
-    buf = np.empty(domain.num_nodes)  # the one node array of the loop and the report
-    best, steps, stop = _fixed_point(basis, p, cfg, buf)
+    # the solve's one node buffer: the loop works in its first row, and the
+    # report holds the solution's grid in the second beside it
+    buf, grid = np.empty((2, domain.num_nodes))
+    if cfg.init_perturbation > 0:
+        best, steps, stop = _fixed_point(basis, p, cfg, buf)
+    else:
+        sector = basis.sector
+        best, steps, stop = _fixed_point(sector, p, cfg, buf[: sector.num_nodes])
+        if best is not None:
+            u_coeffs = np.zeros(basis.K)
+            u_coeffs[sector.positions] = best[0]
+            best = u_coeffs, _project(basis, u_coeffs, p, buf)[1]
     if best is None:
         return _diverged_report(domain, p, cfg, stop)
     u_coeffs, projected = best
-    u_grid = GridFn(domain, basis.to_grid(u_coeffs, out=buf))
-    grid = u_grid.values
+    basis.to_grid(u_coeffs, out=grid)
     converged = bool(projected <= cfg.tol_residual)
     sup_norm = float(np.abs(grid, out=buf).max())
     # the extension energy over the squared L^(p+1) norm, which is scale free
@@ -288,9 +308,9 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     buf **= p + 1
     I0 = energy / _constraint_scale(buf, domain.weight, p) ** 2
     # the unprojected sup-norm defect of A_half u = u^p at the nodes
-    np.maximum(grid, 0.0, out=buf)
-    buf **= p
-    np.subtract(basis.to_grid(u_coeffs * basis.sqrt_lambdas), buf, out=buf)
+    np.maximum(grid, 0.0, out=grid)
+    grid **= p
+    np.subtract(basis.to_grid(u_coeffs * basis.sqrt_lambdas, out=buf), grid, out=buf)
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
         I0=I0,
@@ -299,8 +319,6 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         sup_norm=sup_norm,
         iterations=steps,
         converged=converged,
-        symmetry_defect=max(check_symmetry(u_grid, axis).metric for axis in range(domain.n)),
-        positivity_min=float(grid.min()),
         p=p,
         K=cfg.K,
         tol_residual=cfg.tol_residual,

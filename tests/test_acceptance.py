@@ -125,7 +125,7 @@ def test_criterion_05_solve_1d_full_battery():
         assert rep.residual_inf <= 1e-8
         u = hl.synthesize(rep.solution)
         assert np.min(u.values) > 0
-        assert rep.symmetry_defect <= 1e-8 * rep.sup_norm
+        assert hl.check_symmetry(u, 0).metric <= 1e-8 * rep.sup_norm
         assert hl.check_monotonicity(u, 0).passed
         hopf = hl.check_hopf(u)
         assert hopf.passed and hopf.metric > 0

@@ -153,6 +153,42 @@ def test_to_grid_refuses_an_out_it_cannot_view():
         basis.to_grid(np.ones(127), out=np.empty((255, 127)).T)
 
 
+# direct axes with even and odd N (256/K64, 255/K63), folded ones (1024/K256,
+# 1023/K255), the largest benchmark rectangle and the two boxes
+SECTOR_CASES = [((1.0, 256), 64), ((1.0, 255), 63), ((1.0, 1024), 256), ((1.0, 1023), 255),
+                ((2.0, 1.0, 256, 128), 127)] + BOXES
+
+
+@pytest.mark.parametrize("dims, K", SECTOR_CASES)
+def test_sector_transforms_are_the_full_ones_on_the_half_grid(dims, K):
+    basis = eigenpairs(_domain(dims), K)
+    sector = basis.sector
+    rows = np.array(basis.factor_rows)[:, sector.positions]
+    assert np.all(rows % 2 == 0)  # every sine index of a sector mode is odd
+    assert sector.K == np.sum(np.all(np.array(basis.factor_rows) % 2 == 0, axis=0))
+    assert sector.num_nodes == math.prod(N // 2 for N in basis.domain.grid_counts)
+    b = np.random.default_rng(11).standard_normal(sector.K)
+    embedded = np.zeros(K)
+    embedded[sector.positions] = b
+    full = basis.to_grid(embedded)
+    half = full.reshape(basis.domain.shape)[tuple(slice(N // 2) for N in basis.domain.grid_counts)]
+    got = sector.to_grid(b)
+    assert np.max(np.abs(got - half.ravel())) <= 1e-14 * np.max(np.abs(half))
+    want = basis.to_coeffs(full)[sector.positions]
+    assert np.max(np.abs(sector.to_coeffs(half.ravel()) - want)) <= 1e-14 * np.max(np.abs(want))
+    np.testing.assert_array_equal(sector.sqrt_lambdas, basis.sqrt_lambdas[sector.positions])
+
+
+def test_a_folded_axis_shares_its_odd_block_with_the_sector(sine_sizes):
+    basis = eigenpairs(make_interval(1.0, 1024), 256)
+    basis.to_grid(np.ones(256))
+    sine_sizes.clear()
+    (block,) = basis.sector.factors
+    assert sine_sizes == []
+    assert np.shares_memory(block, basis.factors[0][0])
+    assert basis.sector is basis.sector
+
+
 def _brute_force_modes(dims, K):
     """(eigenvalue, j_1, ..., j_n) of the first K modes, sorting every index tuple
     the grid holds."""
@@ -363,6 +399,21 @@ def test_only_basis_reads_the_mode_matrix():
             if isinstance(node, ast.Attribute) and node.attr in owned:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_nonlinear_imports_nothing_from_verification():
+    # the solve report measures defects only; the structural checks stay in
+    # verification, which the solver does not depend on
+    path = Path(halflap.__file__).parent / "nonlinear.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            # from .verification import x, and from . import verification
+            imported.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not [m for m in imported if m.split(".")[-1] == "verification"]
 
 
 def test_dunder_all_matches_the_public_package_names():

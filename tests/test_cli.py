@@ -90,6 +90,19 @@ def test_solve_emits_json_report(capsys):
     assert "multiplier" not in report
     assert len(report["solution_coeffs"]) == 64
     assert report["domain"] == {"kind": "interval", "lengths": [1.0], "grid_counts": [256]}
+    # the check battery, not the report, measures symmetry and positivity
+    assert "symmetry_defect" not in report and "positivity_min" not in report
+
+
+def test_solve_csv_header(capsys):
+    code, out = run_capture(
+        ["solve", "--domain", "interval:1:256", "--p", "2", "--modes", "64", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "p,I0,residual_inf,equation_defect,sup_norm,iterations,converged"
+    assert row.endswith(",true")
 
 
 def test_solve_rejects_small_exponent(capsys):
@@ -468,6 +481,47 @@ def test_config_values_obey_flag_choices(tmp_path, capsys):
     cfg.write_text("domain = interval:1:64\nmodes = 4\nop = square-root\nmode = 1\n")
     assert run(["apply", "--config", str(cfg)]) == 2
     assert "bad value for op" in capsys.readouterr().err
+
+
+# an empty entry used to be skipped, shifting the entries after it: --coeffs 1,,0.5
+# put 0.5 on mode 2, and --p-list 2,,3 ran two rows
+EMPTY_ENTRIES = [
+    ("apply", "coeffs", "--coeffs", "1,,0.5", 2),
+    ("apply", "coeffs", "--coeffs", "1,0.5,", 3),
+    ("apply", "coeffs", "--coeffs", "1, ,0.5", 2),
+    ("sweep", "p_list", "--p-list", "2,,3", 2),
+    ("sweep", "p_list", "--p-list", "2,3,", 3),
+    ("sweep", "p_list", "--p-list", ",2", 1),
+]
+_LIST_BASE = {
+    "apply": {"domain": "interval:1:64", "modes": "4", "op": "a-half"},
+    "sweep": {"domain": "interval:1:64", "modes": "16"},
+}
+
+
+@pytest.mark.parametrize("command, key, flag, value, pos", EMPTY_ENTRIES)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_empty_list_entry_exits_2_naming_its_position(
+    command, key, flag, value, pos, source, tmp_path, capsys
+):
+    base = _LIST_BASE[command]
+    if source == "flag":
+        argv = [command] + [f"--{k}={v}" for k, v in base.items()] + [f"{flag}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items()))
+        argv = [command, "--config", str(cfg)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag} entry {pos} is empty" in captured.err
+
+
+def test_an_unparsable_list_entry_exits_2_naming_its_position(capsys):
+    code = run(["sweep", "--domain", "interval:1:64", "--modes", "16", "--p-list", "2,x"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "bad --p-list entry 2: 'x'" in captured.err
 
 
 def test_sweep_requires_an_exponent(tmp_path, capsys):
