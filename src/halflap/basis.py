@@ -169,8 +169,72 @@ class GridFn:
         return self.values.reshape(self.domain.shape)
 
 
+class SineTransform:
+    """The coefficient/grid transform of a set of sine product modes.
+
+    A subclass supplies factor_rows, factors, coeff_factors, shape and weight.
+    Mode k is the product over the axes a of row factor_rows[a][k] of
+    factors[a], a sine factor or its odd-j and even-j half-node blocks, on a
+    node grid of the given shape. to_coeffs contracts with coeff_factors, the
+    factors or the factors times the number of nodes each node stands for, and
+    scales by the node weight.
+    """
+
+    @property
+    def K(self) -> int:
+        """Mode count."""
+        return self.factor_rows[0].size
+
+    @cached_property
+    def max_indices(self) -> tuple[int, ...]:
+        """Rows of each factor in use, the largest row plus one: on an
+        EigenBasis, the largest sine index on each axis."""
+        return tuple(int(r.max()) + 1 for r in self.factor_rows)
+
+    @property
+    def num_nodes(self) -> int:
+        return math.prod(self.shape)
+
+    def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid values sum b_k phi_k of the coefficients b at the nodes.
+
+        As with numpy's out=, the values go into out, a float array of num_nodes
+        entries that must reshape to (-1, shape[-1]) without a copy, and out is
+        returned; without out they go into a new flat array. C, shaped like
+        max_indices, holds the coefficients at factor_rows; each axis of C in
+        turn is contracted with its factor, or its two blocks, and moved last,
+        leaving the nodes in C order.
+        """
+        counts = self.max_indices
+        c = np.zeros(counts)
+        c[self.factor_rows] = coeffs
+        if out is None:
+            out = np.empty(self.num_nodes)
+        for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
+            c = c.reshape(count, -1).T
+            dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
+            if dest is not None and not np.may_share_memory(dest, out):
+                raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
+            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
+                 if isinstance(m, tuple) else np.matmul(c, m, out=dest))
+        return out
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
+
+        to_grid transposed: each node axis in turn is contracted with its
+        coeff_factors entry, or its two blocks, and moved last; each mode then
+        reads its entry, times the node weight.
+        """
+        c = values
+        for nodes, m in zip(self.shape, self.coeff_factors):
+            c = c.reshape(nodes, -1)
+            c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
+        return c.reshape(self.max_indices)[self.factor_rows] * self.weight
+
+
 @dataclass(frozen=True)
-class EigenBasis:
+class EigenBasis(SineTransform):
     """Ordered Dirichlet eigenpairs on the grid, discretely orthonormal.
 
     lambdas are nondecreasing, and each mode is a product of one sine per axis,
@@ -178,8 +242,8 @@ class EigenBasis:
     builds factors[a]: rows 1..max index of sqrt(2/L_a) sin(j pi x / L_a) on the
     nodes of axis a or, from FOLD_MIN_ENTRIES entries on, only its odd-j rows
     and its even-j rows on nodes 1..N_a // 2, which carry the whole factor as
-    sine j at node N_a - i is (-1)^(j+1) times sine j at node i. Only to_grid
-    and to_coeffs, the coefficient/grid transform, read the factors.
+    sine j at node N_a - i is (-1)^(j+1) times sine j at node i. Only the
+    transforms and the sector read the factors.
     """
 
     domain: DiscreteDomain
@@ -187,19 +251,17 @@ class EigenBasis:
     factor_rows: tuple[np.ndarray, ...]
 
     @property
-    def K(self) -> int:
-        """Mode count."""
-        return self.lambdas.size
+    def shape(self) -> tuple[int, ...]:
+        return self.domain.shape
+
+    @property
+    def weight(self) -> float:
+        return self.domain.weight
 
     @cached_property
     def sqrt_lambdas(self) -> np.ndarray:
         """Square roots of the eigenvalues, the symbol of the square-root operator."""
         return _freeze(np.sqrt(self.lambdas))
-
-    @cached_property
-    def max_indices(self) -> tuple[int, ...]:
-        """Largest sine index used on each axis."""
-        return tuple(int(r.max()) + 1 for r in self.factor_rows)
 
     @cached_property
     def factors(self) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray], ...]:
@@ -209,20 +271,10 @@ class EigenBasis:
             for a, (count, N) in enumerate(zip(self.max_indices, self.domain.grid_counts))
         )
 
-    def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Grid values sum b_k phi_k of the coefficients b at the interior nodes.
-
-        As with numpy's out=, the values go into out, a float array of num_nodes
-        entries that must reshape to (-1, N_last - 1) without a copy, and out is
-        returned; without out they go into a new flat array.
-        """
-        return _to_grid(coeffs, self.max_indices, self.factor_rows, self.factors,
-                        self.domain.shape, out)
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients <u, phi_k> of the grid values u, by the node quadrature."""
-        return _to_coeffs(values, self.max_indices, self.factor_rows, self.factors,
-                          self.domain.shape, self.domain.weight)
+    @property
+    def coeff_factors(self):
+        """Every node stands for itself, so to_coeffs contracts with the factors."""
+        return self.factors
 
     @cached_property
     def sector(self) -> SymmetricSector:
@@ -248,90 +300,34 @@ class EigenBasis:
         for m in (positions, sqrt_lambdas, *rows, *blocks, *weighted):
             m.flags.writeable = False
         return SymmetricSector(
-            domain=self.domain, positions=positions, sqrt_lambdas=sqrt_lambdas,
-            factor_rows=rows, factors=tuple(blocks), weighted_factors=tuple(weighted),
+            positions=positions, sqrt_lambdas=sqrt_lambdas, factor_rows=rows,
+            factors=tuple(blocks), coeff_factors=tuple(weighted),
+            shape=tuple(N // 2 for N in self.domain.grid_counts), weight=self.domain.weight,
         )
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetricSector:
+class SymmetricSector(SineTransform):
     """The modes of an EigenBasis whose sine indices are all odd, on half the grid.
 
     Reflection across the midline of axis a maps sine j to (-1)^(j+1) times
     itself, so these modes span the grid functions that are even in every
     axis, and such a function is known from its values on nodes 1..N_a // 2 of
-    each axis. positions are the modes' places in the basis's K-vector, in
-    order, and factor_rows[a] the row of each in factors[a], the odd-j rows of
-    the sine factor on those nodes. to_grid and to_coeffs are the basis's
-    transforms restricted to the sector: to_coeffs weighs each node by the
-    nodes it stands for, 2 per axis, or 1 on the midpoint of an even N_a,
-    through weighted_factors, the blocks times those weights.
+    each axis, the shape. positions are the modes' places in the basis's
+    K-vector, in order, and factor_rows[a] the row of each in factors[a], the
+    odd-j rows of the sine factor on those nodes. Its transforms are the
+    basis's restricted to the sector: coeff_factors are the blocks times the
+    nodes each node stands for, 2 per axis, or 1 on the midpoint of an even
+    N_a, and weight is the basis's node weight.
     """
 
-    domain: DiscreteDomain
     positions: np.ndarray
     sqrt_lambdas: np.ndarray
     factor_rows: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
-    weighted_factors: tuple[np.ndarray, ...]
-
-    @property
-    def K(self) -> int:
-        """Mode count."""
-        return self.positions.size
-
-    @cached_property
-    def max_indices(self) -> tuple[int, ...]:
-        """Odd rows used on each axis."""
-        return tuple(len(m) for m in self.factors)
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        """Half-grid node count per axis, N_a // 2."""
-        return tuple(N // 2 for N in self.domain.grid_counts)
-
-    @property
-    def num_nodes(self) -> int:
-        return math.prod(self.shape)
-
-    def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Half-grid values of the sector coefficients; out as in EigenBasis.to_grid."""
-        return _to_grid(coeffs, self.max_indices, self.factor_rows, self.factors, self.shape, out)
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Sector coefficients of the even grid function with these half-grid values."""
-        return _to_coeffs(values, self.max_indices, self.factor_rows, self.weighted_factors,
-                          self.shape, self.domain.weight)
-
-
-def _to_grid(coeffs, counts, rows, factors, shape, out):
-    """to_grid of a basis or a sector: C, shaped like counts, holds the
-    coefficients at rows; each axis of C in turn is contracted with its factor,
-    or its two blocks, and moved last, leaving the nodes in C order."""
-    c = np.zeros(counts)
-    c[rows] = coeffs
-    if out is None:
-        out = np.empty(math.prod(shape))
-    last = len(factors) - 1
-    for axis, (count, nodes, m) in enumerate(zip(counts, shape, factors)):
-        c = c.reshape(count, -1).T
-        dest = out.reshape(-1, nodes) if axis == last else None
-        if dest is not None and not np.may_share_memory(dest, out):
-            raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
-        c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
-             if isinstance(m, tuple) else np.matmul(c, m, out=dest))
-    return out
-
-
-def _to_coeffs(values, counts, rows, factors, shape, weight):
-    """to_coeffs of a basis or a sector, _to_grid transposed: each node axis in
-    turn is contracted with its factor, or its two blocks, and moved last; each
-    mode then reads its entry, times the node weight."""
-    c = values
-    for nodes, m in zip(shape, factors):
-        c = c.reshape(nodes, -1)
-        c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
-    return c.reshape(counts)[rows] * weight
+    coeff_factors: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+    weight: float
 
 
 def _unfold(a: np.ndarray, e: np.ndarray, nodes: int, out: np.ndarray | None) -> np.ndarray:

@@ -8,8 +8,9 @@ LF line endings) or single-document UTF-8 JSON with every float serialized at
 output. Exit codes: 0 success with all checks passed, 1 failed check or
 diverged solve or I/O failure, 2 configuration error.
 
-The CLI performs no computation of its own; every reported number comes from
-one library operation.
+Every reported number comes from a library operation. check alone computes
+inputs of its own: it draws the weak-maximum-principle sources from the seed
+and synthesizes the solution's grid for the checks that read it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .basis import KINDS, DiscreteDomain, DomainError, GridFn, as_integer, eigenpairs
+from .basis import KINDS, DiscreteDomain, DomainError, GridFn, as_integer, as_real, eigenpairs
 from .extension import best_trace_constant, evaluate_extension
 from .nonlinear import ConfigError, SolveConfig, SolveReport, solve, sweep
 from .spectral import SpectralFn, apply_A_half, apply_B_half, apply_inv_laplacian, synthesize
@@ -166,7 +167,9 @@ def _load_config(path: str, known) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict = {}
-    if text.lstrip().startswith("{"):
+    # a file that opens like a JSON object or array is read as JSON, so an
+    # array is refused as such rather than as a malformed key=value line
+    if text.lstrip().startswith(("{", "[")):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -244,16 +247,17 @@ def _parse_domain(spec: str | None) -> DiscreteDomain:
 
 
 def _number_list(option: str, text: str) -> list[float]:
-    """The numbers of a comma-separated option; an empty or unparsable entry is
-    refused by its 1-based position, so no entry shifts the ones after it."""
+    """The numbers of a comma-separated option; an empty, unparsable or nonfinite
+    entry is refused by its 1-based position, so no entry shifts the ones after it."""
     values = []
     for pos, token in enumerate(text.split(","), 1):
         if not token.strip():
             raise ConfigError(f"{option} entry {pos} is empty in {text!r}")
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError as exc:
             raise ConfigError(f"bad {option} entry {pos}: {token!r}") from exc
+        values.append(as_real(f"{option} entry {pos}", value, ConfigError))
     return values
 
 
@@ -352,9 +356,11 @@ def _cmd_check(args, domain):
     report = solve(domain, cfg.p, cfg)
     checks = []
     if report.solution is not None:
-        rngs = (np.random.default_rng([cfg.rng_seed, i]) for i in range(args.mp_samples))
-        sources = [GridFn(domain, rng.uniform(0.0, 1.0, domain.num_nodes)) for rng in rngs]
-        worst = check_weak_mp(report.solution.basis, *sources)
+        # one generator draws the sources row by row, so source i does not
+        # depend on how many are drawn
+        rng = np.random.default_rng(cfg.rng_seed)
+        sources = rng.uniform(0.0, 1.0, (args.mp_samples, domain.num_nodes))
+        worst = check_weak_mp(report.solution.basis, *(GridFn(domain, g) for g in sources))
         checks.append(
             dataclasses.replace(
                 worst, detail=f"worst of {args.mp_samples} seeded nonnegative sources"

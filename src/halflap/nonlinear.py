@@ -40,7 +40,7 @@ from .basis import (
     DiscreteDomain,
     DomainError,
     EigenBasis,
-    SymmetricSector,
+    SineTransform,
     as_integer,
     as_real,
     eigenpairs,
@@ -170,7 +170,7 @@ def _constraint_scale(powered: np.ndarray, weight: float, p: float) -> float:
     return float((np.sum(powered) * weight) ** (1.0 / (p + 1)))
 
 
-def _project(basis: EigenBasis | SymmetricSector, u: np.ndarray, p: float, buf: np.ndarray):
+def _project(basis: SineTransform, u: np.ndarray, p: float, buf: np.ndarray):
     """The mode projection of the clipped power max(u, 0)^p of the coefficients
     u on the grid, and the projected residual sup |A_half u - projection|.
 
@@ -194,9 +194,7 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
     )
 
 
-def _fixed_point(
-    basis: EigenBasis | SymmetricSector, p: float, cfg: SolveConfig, buf: np.ndarray
-):
+def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarray):
     """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
 
     Each step maps the coefficients u to the plain step

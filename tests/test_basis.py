@@ -387,10 +387,11 @@ def test_weight_computed_once_per_domain(monkeypatch):
 
 
 def test_only_basis_reads_the_mode_matrix():
-    # every coefficient/grid transform goes through EigenBasis.to_grid and
+    # every coefficient/grid transform goes through SineTransform.to_grid and
     # to_coeffs, so a new representation of the modes changes basis.py alone;
-    # that covers the per-axis factors, folded or not, and their rows
-    owned = {"factors", "factor_rows"}
+    # that covers the per-axis factors, folded or not, their rows, and the
+    # weighted factors the sector's to_coeffs reads
+    owned = {"factors", "factor_rows", "coeff_factors"}
     readers = []
     for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
         if path.name == "basis.py":

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import halflap.cli
 from halflap import (
     DiscreteDomain, SpectralFn, eigenpairs, evaluate_extension, make_interval, make_rectangle,
 )
@@ -358,6 +359,27 @@ def test_json_config_number_is_refused_for_a_string_option(
     assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
 
 
+def test_check_sources_are_the_rows_of_one_seeded_draw(monkeypatch, capsys):
+    # source i is row i of one generator's draw, so it does not depend on how
+    # many sources are drawn
+    drawn = []
+    check_weak_mp = halflap.cli.check_weak_mp
+
+    def recorded(basis, *sources):
+        drawn.append(np.array([g.values for g in sources]))
+        return check_weak_mp(basis, *sources)
+
+    monkeypatch.setattr(halflap.cli, "check_weak_mp", recorded)
+    for samples in ("2", "5"):
+        code = run(["check", "--domain", "interval:1:64", "--p", "2", "--modes", "16",
+                    "--seed", "3", "--mp-samples", samples])
+        capsys.readouterr()
+        assert code == 0
+    want = np.random.default_rng(3).uniform(0.0, 1.0, (5, 63))
+    np.testing.assert_array_equal(drawn[1], want)
+    np.testing.assert_array_equal(drawn[0], want[:2])
+
+
 def test_check_rejects_nonpositive_mp_samples(capsys):
     for samples in ("0", "-3"):
         code = run(["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",
@@ -504,6 +526,13 @@ _LIST_BASE = {
 def test_an_empty_list_entry_exits_2_naming_its_position(
     command, key, flag, value, pos, source, tmp_path, capsys
 ):
+    err = _run_list_option(command, key, flag, value, source, tmp_path, capsys)
+    assert f"{flag} entry {pos} is empty" in err
+
+
+def _run_list_option(command, key, flag, value, source, tmp_path, capsys) -> str:
+    """Run command with the list option from a flag or a config file; assert that
+    it exits 2 with no output and return its stderr."""
     base = _LIST_BASE[command]
     if source == "flag":
         argv = [command] + [f"--{k}={v}" for k, v in base.items()] + [f"{flag}={value}"]
@@ -514,7 +543,26 @@ def test_an_empty_list_entry_exits_2_naming_its_position(
     code = run(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert f"{flag} entry {pos} is empty" in captured.err
+    return captured.err
+
+
+# a nonfinite exponent used to run as a sweep row (p = nan, exit 1), and a
+# nonfinite coefficient was refused without its position
+NONFINITE_ENTRIES = [
+    ("apply", "coeffs", "--coeffs", "1,nan", 2, "nan"),
+    ("apply", "coeffs", "--coeffs", "-inf,1", 1, "-inf"),
+    ("sweep", "p_list", "--p-list", "2,nan", 2, "nan"),
+    ("sweep", "p_list", "--p-list", "2,3,inf", 3, "inf"),
+]
+
+
+@pytest.mark.parametrize("command, key, flag, value, pos, shown", NONFINITE_ENTRIES)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_nonfinite_list_entry_exits_2_naming_its_position(
+    command, key, flag, value, pos, shown, source, tmp_path, capsys
+):
+    err = _run_list_option(command, key, flag, value, source, tmp_path, capsys)
+    assert f"{flag} entry {pos} must be finite, got {shown}" in err
 
 
 def test_an_unparsable_list_entry_exits_2_naming_its_position(capsys):
@@ -522,6 +570,41 @@ def test_an_unparsable_list_entry_exits_2_naming_its_position(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "bad --p-list entry 2: 'x'" in captured.err
+
+
+_APPLY = ["apply", "--domain", "interval:1:64", "--modes", "4"]
+# (argv, config file text or None, words of the message); "{config}" in argv
+# stands for the config file's path
+REFUSALS = [
+    (_APPLY + ["--mode", "1"], None, "--op must be one of a-half, b-half, inv-laplacian"),
+    (["sweep", "--domain", "interval:1:64", "--modes", "16"], None, "sweep requires --p-list"),
+    (["extend", "--domain", "interval:1:64", "--modes", "4", "--mode", "1"], None,
+     "extend requires --y"),
+    (["trace-constant"], None, "trace-constant requires --n"),
+    (_APPLY + ["--op", "a-half", "--coeffs", "1", "--mode", "1"], None,
+     "give either --coeffs or --mode, not both"),
+    (_APPLY + ["--op", "a-half", "--coeffs", "1,2,3,4,5"], None, "got 5 coefficients for 4 modes"),
+    (_APPLY + ["--op", "a-half", "--mode", "5"], None, "mode 5 out of range 1..4"),
+    (_APPLY + ["--op", "a-half", "--mode", "0"], None, "mode 0 out of range 1..4"),
+    (["eig", "--modes", "4"], None, "a domain is required"),
+    (["solve", "--config", "{config}"], '{"domain": "interval:1:64",', "is not valid JSON"),
+    (["solve", "--config", "{config}"], '["domain", "interval:1:64"]\n',
+     "must hold a JSON object"),
+    (["eig", "--domain", "interval:abc:256"], None, "bad domain spec 'interval:abc:256'"),
+    (["eig", "--domain", "interval:1:2.5"], None, "bad domain spec 'interval:1:2.5'"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", REFUSALS)
+def test_a_refused_configuration_exits_2_naming_the_cause(argv, config, message, tmp_path,
+                                                          capsys):
+    path = tmp_path / "run.cfg"
+    if config is not None:
+        path.write_text(config)
+    code = run([str(path) if token == "{config}" else token for token in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 def test_sweep_requires_an_exponent(tmp_path, capsys):

@@ -316,6 +316,19 @@ def test_stagnating_mixing_restarts_and_converges():
     assert rep.I0 == pytest.approx(I0, rel=1e-12)
 
 
+def test_a_residual_without_a_new_best_ends_at_the_stall_stop():
+    # from this perturbed start of the long rectangle the residual settles near
+    # 4e-2, far above the target, and raising max_iter does not lower it; the
+    # solve ends after STALL_STEPS steps without a new best, not at the cap
+    cfg = SolveConfig(p=2.5, K=127, init_perturbation=0.05, rng_seed=139951793)
+    rep = solve(make_rectangle(2.0, 1.0, 256, 128), 2.5, cfg)
+    assert not rep.converged
+    assert rep.detail == (
+        f"residual above tol_residual: no new best residual in {nonlinear.STALL_STEPS} steps"
+    )
+    assert nonlinear.STALL_STEPS <= rep.iterations < cfg.max_iter
+
+
 def _nan_weights(a):
     return np.full(a.shape[1], np.nan)
 
