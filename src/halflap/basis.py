@@ -195,6 +195,16 @@ class SineTransform:
     def num_nodes(self) -> int:
         return math.prod(self.shape)
 
+    @cached_property
+    def _in_order(self) -> bool:
+        """Whether the modes are every row of every factor, in C order, as on
+        an interval: then the coefficients are C itself, with no scatter or gather."""
+        counts = self.max_indices
+        return self.K == math.prod(counts) and all(
+            np.array_equal(r, i)
+            for r, i in zip(self.factor_rows, np.unravel_index(np.arange(self.K), counts))
+        )
+
     def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the nodes.
 
@@ -206,8 +216,11 @@ class SineTransform:
         leaving the nodes in C order.
         """
         counts = self.max_indices
-        c = np.zeros(counts)
-        c[self.factor_rows] = coeffs
+        if self._in_order:
+            c = coeffs
+        else:
+            c = np.zeros(counts)
+            c[self.factor_rows] = coeffs
         if out is None:
             out = np.empty(self.num_nodes)
         for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
@@ -230,7 +243,8 @@ class SineTransform:
         for nodes, m in zip(self.shape, self.coeff_factors):
             c = c.reshape(nodes, -1)
             c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
-        return c.reshape(self.max_indices)[self.factor_rows] * self.weight
+        c = c.reshape(-1) if self._in_order else c.reshape(self.max_indices)[self.factor_rows]
+        return c * self.weight
 
 
 @dataclass(frozen=True)

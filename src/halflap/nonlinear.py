@@ -14,10 +14,18 @@ depth ANDERSON_DEPTH (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011): each step combines the last plain steps so that their
 residuals cancel in the least-squares sense. A singular or nonfinite
 combination, or a step whose residual exceeds ANDERSON_RESTART times the best
-so far, clears the history and takes the plain step instead. The solve
-reports the iterate with the smallest projected residual, and stops at
-1e-2 * tol_residual, at max_iter steps, or after STALL_STEPS steps without a
-new best residual.
+so far, clears the history and takes the plain step instead.
+
+The loop measures the projected residual r = A_half u - P(u^p) in
+coefficients, so a step takes one synthesis and one analysis. The sampled
+modes are discretely orthonormal, so |r|_2 is the residual's L^2 norm on the
+grid; the loop ranks its iterates by it, and the best one, the stall stop and
+the Anderson restart all read that ranking. Every mode is bounded by
+prod_a sqrt(2/L_a), so that constant times |r|_1 bounds the residual's sup
+over the grid, and the loop stops when a new best has this bound at most
+1e-2 * tol_residual. It also stops at max_iter steps, or after STALL_STEPS
+steps without a new best. The report then measures the sup of the residual
+once, on the returned coefficients, and that sup is what tol_residual governs.
 
 The unperturbed ground mode is even across every axis midline, and so are u^p
 and its projection, so from that start the iteration never leaves the modes
@@ -165,26 +173,26 @@ def _check_dealiasing(basis: EigenBasis) -> None:
             )
 
 
-def _constraint_scale(powered: np.ndarray, weight: float, p: float) -> float:
-    """L^(p+1) norm of grid values from their magnitudes raised to p + 1."""
-    return float((np.sum(powered) * weight) ** (1.0 / (p + 1)))
+def _constraint_scale(power: np.ndarray, magnitude: np.ndarray, weight: float, p: float) -> float:
+    """L^(p+1) norm of grid values from their magnitudes and those raised to p."""
+    return float((power @ magnitude * weight) ** (1.0 / (p + 1)))
 
 
 def _project(basis: SineTransform, u: np.ndarray, p: float, buf: np.ndarray):
     """The mode projection of the clipped power max(u, 0)^p of the coefficients
-    u on the grid, and the projected residual sup |A_half u - projection|.
+    u on the grid, and the l2 norm of the projected residual A_half u - projection.
 
-    Both grids pass through buf, a node array of the basis or sector that the
-    solve allocates once, so a step allocates no node-sized array. The
-    fixed-point loop and the report measure through this one function.
+    The grid passes through buf, a node array of the basis or sector that the
+    solve allocates once, so a step allocates no node-sized array. By discrete
+    orthonormality the l2 norm of the residual's coefficients is its L^2 norm
+    on the grid, so no second synthesis is needed.
     """
     basis.to_grid(u, out=buf)
     np.maximum(buf, 0.0, out=buf)
     buf **= p
     projection = basis.to_coeffs(buf)
-    basis.to_grid(u * basis.sqrt_lambdas - projection, out=buf)
-    np.abs(buf, out=buf)
-    return projection, float(buf.max())
+    r = u * basis.sqrt_lambdas - projection
+    return projection, math.sqrt(r @ r)
 
 
 def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
@@ -194,7 +202,8 @@ def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail:
     )
 
 
-def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarray):
+def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarray,
+                 sup_mode: float):
     """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
 
     Each step maps the coefficients u to the plain step
@@ -203,15 +212,16 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
     of g and of the residual f = g - u. The mixing weights gamma minimize
     |f - gamma F| over the rows F of residual differences, and are solved from
     the normal equations (F F^T) gamma = F f. If that system is singular, the
-    mix is nonfinite, or the measured residual is above ANDERSON_RESTART times
-    the best, the step is g and the history is cleared. The start and every
-    step work in the node array buf, which the caller reads as scratch after.
-    basis is the solve's EigenBasis or, for a ground start, its sector.
+    mix is nonfinite, or the residual is above ANDERSON_RESTART times the best,
+    the step is g and the history is cleared. The start and every step work in
+    the node array buf, which the caller reads as scratch after. basis is the
+    solve's EigenBasis or, for a ground start, its sector, and sup_mode bounds
+    |phi_k| on the grid.
 
-    Returns (best, steps, stop). best is (u coefficients, projected residual)
-    of the iterate with the smallest projected residual, or None after a
-    nonfinite iterate; stop is "" when the target was met, else the reason the
-    iteration ended.
+    Returns (best, steps, stop). best is the u coefficients of the iterate
+    with the smallest l2 residual, or None after a nonfinite iterate; stop is
+    "" when the sup bound sup_mode * |r|_1 of its residual met the target,
+    else the reason the iteration ended.
     """
     s = basis.sqrt_lambdas
     basis.to_grid(np.eye(1, basis.K)[0], out=buf)  # the ground mode
@@ -221,14 +231,21 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
     u = basis.to_coeffs(np.abs(buf, out=buf))
     target = max(cfg.tol_residual * 1e-2, 1e-14)
     best, best_res, best_step = None, math.inf, 0
-    dg, df = [], []  # differences of the last plain steps and of their residuals
+    # differences of the last plain steps and of their residuals, kept as a
+    # ring: difference i since the last restart is row i % ANDERSON_DEPTH. The
+    # Gram matrix of the residual differences gains one row per step
+    dg, df = np.empty((2, ANDERSON_DEPTH, basis.K))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    history = 0  # differences since the last restart
     step = 0
     while True:
         Pu, res = _project(basis, u, p, buf)
         if res < best_res:
-            best, best_res, best_step = (u, res), res, step
-        if best_res <= target:
-            return best, step, ""
+            best, best_res, best_step = u, res, step
+            # |r|_1 >= |r|_2, so the sup bound can only meet the target when
+            # sup_mode * |r|_2 does
+            if sup_mode * res <= target and sup_mode * float(np.abs(u * s - Pu).sum()) <= target:
+                return best, step, ""
         if step == cfg.max_iter:
             return best, step, f"iteration cap max_iter = {cfg.max_iter} reached"
         if step - best_step >= STALL_STEPS:
@@ -236,33 +253,34 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
         nehari = float(u @ Pu)
         if not 0.0 < nehari < math.inf:
             return None, step, "fixed-point iteration produced a nonfinite iterate"
-        g = (float(np.sum(s * u * u)) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
+        g = (float((s * u) @ u) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
         f = g - u
         if step > 0:
-            dg.append(g - g_prev)
-            df.append(f - f_prev)
-            del dg[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
+            row = history % ANDERSON_DEPTH
+            np.subtract(g, g_prev, out=dg[row])
+            np.subtract(f, f_prev, out=df[row])
+            history += 1
+            n = min(history, ANDERSON_DEPTH)
+            gram[row, :n] = gram[:n, row] = df[:n] @ df[row]
         g_prev, f_prev = g, f
         u = g
-        if df and res <= ANDERSON_RESTART * best_res:
+        if history and res <= ANDERSON_RESTART * best_res:
             # the combination of the recent plain steps whose residuals best
-            # cancel, by least squares over the residual differences F; F has
-            # at most ANDERSON_DEPTH rows, so its Gram matrix is at most 5 x 5
-            # and the normal equations cost far less than an SVD
-            F = np.array(df)
+            # cancel, by least squares over the residual differences; there
+            # are at most ANDERSON_DEPTH of them, so the normal equations are
+            # at most 5 x 5 and cost far less than an SVD
             try:
-                gamma = np.linalg.solve(F @ F.T, F @ f)
+                gamma = np.linalg.solve(gram[:n, :n], df[:n] @ f)
             except np.linalg.LinAlgError:
                 pass  # a singular Gram matrix: the plain step
             else:
-                mixed = g - gamma @ np.array(dg)
-                if np.all(np.isfinite(mixed)):
+                mixed = g - gamma @ dg[:n]
+                if np.isfinite(mixed).all():
                     u = mixed
         if u is g:
             # a stagnated, singular or nonfinite mixing takes the plain step
             # and restarts the history from it
-            dg.clear()
-            df.clear()
+            history = 0
         step += 1
 
 
@@ -277,43 +295,51 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     sector and a perturbed one in the whole basis; either way the report
     measures the solution's K coefficients on the whole basis and grid.
     """
-    # replace reruns SolveConfig's checks on the effective exponent
-    cfg = replace(cfg, p=_resolve_p(p, cfg))
-    p = cfg.p
+    p = _resolve_p(p, cfg)
+    if cfg.p is None:
+        # replace runs SolveConfig's checks on the explicit exponent
+        cfg = replace(cfg, p=p)
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
     # the solve's one node buffer: the loop works in its first row, and the
-    # report holds the solution's grid in the second beside it
-    buf, grid = np.empty((2, domain.num_nodes))
+    # report holds the solution's grid and its power beside it
+    buf, grid, power = np.empty((3, domain.num_nodes))
+    # a bound on every mode's sup |phi_k| over the grid
+    sup_mode = math.prod(math.sqrt(2.0 / L) for L in domain.lengths)
     if cfg.init_perturbation > 0:
-        best, steps, stop = _fixed_point(basis, p, cfg, buf)
+        u_coeffs, steps, stop = _fixed_point(basis, p, cfg, buf, sup_mode)
     else:
         sector = basis.sector
-        best, steps, stop = _fixed_point(sector, p, cfg, buf[: sector.num_nodes])
+        best, steps, stop = _fixed_point(sector, p, cfg, buf[: sector.num_nodes], sup_mode)
+        u_coeffs = None
         if best is not None:
             u_coeffs = np.zeros(basis.K)
-            u_coeffs[sector.positions] = best[0]
-            best = u_coeffs, _project(basis, u_coeffs, p, buf)[1]
-    if best is None:
+            u_coeffs[sector.positions] = best
+    if u_coeffs is None:
         return _diverged_report(domain, p, cfg, stop)
-    u_coeffs, projected = best
+    a_half = u_coeffs * basis.sqrt_lambdas
     basis.to_grid(u_coeffs, out=grid)
-    converged = bool(projected <= cfg.tol_residual)
-    sup_norm = float(np.abs(grid, out=buf).max())
+    magnitude = np.abs(grid, out=buf)
+    sup_norm = float(magnitude.max())
+    # one power |u|^p serves the constraint norm and, zeroed where u <= 0, the
+    # clipped power max(u, 0)^p of the two defects
+    np.power(magnitude, p, out=power)
     # the extension energy over the squared L^(p+1) norm, which is scale free
-    energy = float(np.sum(basis.sqrt_lambdas * u_coeffs * u_coeffs))
-    buf **= p + 1
-    I0 = energy / _constraint_scale(buf, domain.weight, p) ** 2
+    I0 = float(a_half @ u_coeffs) / _constraint_scale(power, magnitude, domain.weight, p) ** 2
+    power[grid <= 0.0] = 0.0
     # the unprojected sup-norm defect of A_half u = u^p at the nodes
-    np.maximum(grid, 0.0, out=grid)
-    grid **= p
-    np.subtract(basis.to_grid(u_coeffs * basis.sqrt_lambdas, out=buf), grid, out=buf)
+    np.subtract(basis.to_grid(a_half, out=buf), power, out=buf)
+    equation_defect = float(np.abs(buf, out=buf).max())
+    # the sup-norm defect of the Galerkin system, the loop's residual on the grid
+    basis.to_grid(a_half - basis.to_coeffs(power), out=buf)
+    residual_inf = float(np.abs(buf, out=buf).max())
+    converged = bool(residual_inf <= cfg.tol_residual)
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
         I0=I0,
-        residual_inf=projected,
-        equation_defect=float(np.abs(buf, out=buf).max()),
+        residual_inf=residual_inf,
+        equation_defect=equation_defect,
         sup_norm=sup_norm,
         iterations=steps,
         converged=converged,

@@ -380,6 +380,26 @@ def test_check_sources_are_the_rows_of_one_seeded_draw(monkeypatch, capsys):
     np.testing.assert_array_equal(drawn[0], want[:2])
 
 
+def test_check_draws_and_checks_its_sources_in_bounded_blocks(monkeypatch, tmp_path):
+    # a huge --mp-samples must not allocate every source at once; blocks of 3
+    # sources of 63 nodes give the same report bytes as one block of 10
+    argv = ["check", "--domain", "interval:1:64", "--p", "2", "--modes", "16",
+            "--seed", "3", "--mp-samples", "10", "--output"]
+    assert run(argv + [str(tmp_path / "whole.json")]) == 0
+    blocks = []
+    check_weak_mp = halflap.cli.check_weak_mp
+
+    def recorded(basis, *sources):
+        blocks.append(len(sources))
+        return check_weak_mp(basis, *sources)
+
+    monkeypatch.setattr(halflap.cli, "check_weak_mp", recorded)
+    monkeypatch.setattr(halflap.cli, "_MP_BLOCK_VALUES", 3 * 63 + 62)
+    assert run(argv + [str(tmp_path / "blocks.json")]) == 0
+    assert blocks == [3, 3, 3, 1]
+    assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
 def test_check_rejects_nonpositive_mp_samples(capsys):
     for samples in ("0", "-3"):
         code = run(["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",

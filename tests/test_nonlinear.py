@@ -329,6 +329,74 @@ def test_a_residual_without_a_new_best_ends_at_the_stall_stop():
     assert nonlinear.STALL_STEPS <= rep.iterations < cfg.max_iter
 
 
+@pytest.mark.parametrize("perturbation", [0.0, 0.05])
+def test_each_step_runs_one_synthesis_and_one_analysis(perturbation, monkeypatch):
+    # two solves stopped at the iteration cap differ only by their extra steps,
+    # so the start and the report cancel from the difference of their counts
+    calls = {"to_grid": 0, "to_coeffs": 0}
+    for name in calls:
+        method = getattr(halflap.basis.SineTransform, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(halflap.basis.SineTransform, name, counted)
+    counts = []
+    for max_iter in (3, 8):
+        cfg = cfg_1d(max_iter=max_iter, init_perturbation=perturbation, rng_seed=1)
+        rep = solve(UNIT_INTERVAL, 2.0, cfg)
+        assert rep.iterations == max_iter and not rep.converged
+        counts.append(dict(calls))
+    assert {name: counts[1][name] - 2 * counts[0][name] for name in calls} == {
+        "to_grid": 5, "to_coeffs": 5
+    }
+
+
+def _sup_mode(domain):
+    return math.prod(math.sqrt(2.0 / L) for L in domain.lengths)
+
+
+@pytest.mark.parametrize("domain, K, sector", [
+    (UNIT_INTERVAL, 64, False),
+    (make_interval(1.0, 1024), 256, False),
+    (UNIT_SQUARE, 60, False),
+    (DiscreteDomain((1.0, 2.0, 3.0), (16, 16, 16)), 40, False),
+    (make_rectangle(2.0, 1.0, 256, 128), 127, True),
+])
+def test_coefficient_norms_measure_the_residual_on_the_grid(domain, K, sector):
+    # the loop ranks by the l2 norm of the residual's coefficients and stops on
+    # prod sqrt(2/L_a) times their l1 norm: the grid L^2 norm and a sup bound
+    basis = eigenpairs(domain, K)
+    rng = np.random.default_rng(K)
+    for _ in range(5):
+        r = rng.standard_normal(basis.sector.K if sector else K)
+        if sector:
+            # a sector's coefficients stand for the basis's with zeros elsewhere
+            assert np.max(np.abs(basis.sector.to_grid(r))) <= _sup_mode(domain) * np.abs(r).sum()
+            full = np.zeros(K)
+            full[basis.sector.positions] = r
+            r = full
+        grid = basis.to_grid(r)
+        assert math.sqrt(r @ r) == pytest.approx(
+            math.sqrt(domain.weight * (grid @ grid)), rel=1e-12
+        )
+        assert np.max(np.abs(grid)) <= _sup_mode(domain) * np.abs(r).sum()
+
+
+def test_near_critical_square_converges_from_a_cold_start():
+    # from the ground mode these solves used to end at the stall stop on the
+    # start itself (I0 3.09 at p = 2.7); the unit square's I0 at p = 2.7 from
+    # 256^2 to 512^2 agrees to 1e-6
+    rep = solve(make_rectangle(1.0, 1.0, 512, 512), 2.7, SolveConfig(p=2.7, K=12935))
+    assert rep.converged, rep.detail
+    assert rep.I0 == pytest.approx(2.2715732, rel=1e-4)
+    cfg = SolveConfig(p=2.85, K=3253, allow_near_critical=True)
+    rep = solve(make_rectangle(1.0, 1.0, 256, 256), 2.85, cfg)
+    assert rep.converged, rep.detail
+    assert rep.I0 == pytest.approx(2.0571264, rel=1e-6)
+
+
 def _nan_weights(a):
     return np.full(a.shape[1], np.nan)
 
