@@ -33,7 +33,10 @@ whose sine indices are all odd. It runs there, on nodes 1..N_a // 2 of each
 axis (EigenBasis.sector), and the other modes of the solution are exact
 zeros; parity reductions of this kind are standard for spectral methods
 (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 8). A
-perturbed start leaves that span and iterates in the whole basis.
+perturbed start leaves that span and iterates in the whole basis. The report
+is measured in the space the loop ran in: the sector's half grid holds every
+value of the even whole grid, so its sups are the whole grid's, and its
+analysis counts each node as the nodes it stands for.
 """
 
 from __future__ import annotations
@@ -121,7 +124,9 @@ class SolveReport:
     residual_inf is the sup-norm defect of the discrete (mode-projected)
     equation and is what tol_residual governs; equation_defect is the
     unprojected defect against the pointwise power, which is limited by
-    spectral truncation and decreases as K and N grow. iterations counts
+    spectral truncation and decreases as K and N grow. The fields are measured
+    in the space the loop ran in (see solve); solution is a K-vector on the
+    whole basis. iterations counts
     fixed-point steps; when the solve did not converge, detail names the stop
     that fired. The defaults are the values of a solve that produced no
     solution.
@@ -171,11 +176,6 @@ def _check_dealiasing(basis: EigenBasis) -> None:
                 f"grid count {N} on axis {axis} is too coarse to dealias the "
                 f"nonlinearity; need at least {4 * j}"
             )
-
-
-def _constraint_scale(power: np.ndarray, magnitude: np.ndarray, weight: float, p: float) -> float:
-    """L^(p+1) norm of grid values from their magnitudes and those raised to p."""
-    return float((power @ magnitude * weight) ** (1.0 / (p + 1)))
 
 
 def _project(basis: SineTransform, u: np.ndarray, p: float, buf: np.ndarray):
@@ -292,8 +292,8 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     above the product of the N_a - 1 raises AliasingError, as in eigenpairs.
 
     A ground start (init_perturbation 0) iterates in the basis's symmetric
-    sector and a perturbed one in the whole basis; either way the report
-    measures the solution's K coefficients on the whole basis and grid.
+    sector and a perturbed one in the whole basis, and the report is measured
+    in the same space; a ground solution is zero off the sector.
     """
     p = _resolve_p(p, cfg)
     if cfg.p is None:
@@ -302,38 +302,36 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
+    space = basis if cfg.init_perturbation > 0 else basis.sector
     # the solve's one node buffer: the loop works in its first row, and the
-    # report holds the solution's grid and its power beside it
-    buf, grid, power = np.empty((3, domain.num_nodes))
+    # report holds the solution's grid in the second
+    buf, grid = np.empty((2, space.num_nodes))
     # a bound on every mode's sup |phi_k| over the grid
     sup_mode = math.prod(math.sqrt(2.0 / L) for L in domain.lengths)
-    if cfg.init_perturbation > 0:
-        u_coeffs, steps, stop = _fixed_point(basis, p, cfg, buf, sup_mode)
-    else:
-        sector = basis.sector
-        best, steps, stop = _fixed_point(sector, p, cfg, buf[: sector.num_nodes], sup_mode)
-        u_coeffs = None
-        if best is not None:
-            u_coeffs = np.zeros(basis.K)
-            u_coeffs[sector.positions] = best
-    if u_coeffs is None:
+    u, steps, stop = _fixed_point(space, p, cfg, buf, sup_mode)
+    if u is None:
         return _diverged_report(domain, p, cfg, stop)
-    a_half = u_coeffs * basis.sqrt_lambdas
-    basis.to_grid(u_coeffs, out=grid)
-    magnitude = np.abs(grid, out=buf)
-    sup_norm = float(magnitude.max())
-    # one power |u|^p serves the constraint norm and, zeroed where u <= 0, the
-    # clipped power max(u, 0)^p of the two defects
-    np.power(magnitude, p, out=power)
-    # the extension energy over the squared L^(p+1) norm, which is scale free
-    I0 = float(a_half @ u_coeffs) / _constraint_scale(power, magnitude, domain.weight, p) ** 2
-    power[grid <= 0.0] = 0.0
+    a_half = u * space.sqrt_lambdas
+    space.to_grid(u, out=grid)
+    sup_norm = float(np.abs(grid, out=buf).max())
+    # the extension energy over the squared L^(p+1) norm, which is scale free:
+    # u . P(sign(u) |u|^p) is the weighted node sum of |u|^(p+1), by discrete
+    # orthonormality, and a truncated u dips below zero
+    buf **= p
+    np.copysign(buf, grid, out=buf)
+    I0 = float(a_half @ u / (u @ space.to_coeffs(buf)) ** (2.0 / (p + 1.0)))
+    # the clipped power max(u, 0)^p of the two defects
+    np.maximum(buf, 0.0, out=buf)
     # the unprojected sup-norm defect of A_half u = u^p at the nodes
-    np.subtract(basis.to_grid(a_half, out=buf), power, out=buf)
-    equation_defect = float(np.abs(buf, out=buf).max())
+    np.subtract(space.to_grid(a_half, out=grid), buf, out=grid)
+    equation_defect = float(np.abs(grid, out=grid).max())
     # the sup-norm defect of the Galerkin system, the loop's residual on the grid
-    basis.to_grid(a_half - basis.to_coeffs(power), out=buf)
+    space.to_grid(a_half - space.to_coeffs(buf), out=buf)
     residual_inf = float(np.abs(buf, out=buf).max())
+    u_coeffs = u
+    if space is not basis:
+        u_coeffs = np.zeros(basis.K)
+        u_coeffs[space.positions] = u
     converged = bool(residual_inf <= cfg.tol_residual)
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
