@@ -401,10 +401,13 @@ def eigenpairs(domain: DiscreteDomain, K: int) -> EigenBasis:
     """First K Dirichlet eigenpairs of the domain.
 
     Each mode is a product over the axes of sqrt(2/L_a) sin(j_a pi x / L_a), with
-    eigenvalue sum of (j_a pi / L_a)^2, sorted ascending with ties broken by
-    (j_1, ..., j_n). Axis a carries j_a <= N_a - 1, since sine N_a vanishes on
-    its nodes, so K may be at most the product of N_a - 1 over the axes. No sine
-    is evaluated before the basis's first transform.
+    eigenvalue sum of (j_a pi / L_a)^2, sorted ascending by that sum as computed
+    in float64, with ties of the computed value broken by (j_1, ..., j_n). Exact
+    ties can round apart and then keep their rounded order: on the 2 x 1
+    rectangle (1, 4) and (7, 2) both have 65 pi^2 / 4, computed as
+    160.38107151770205 and ...208. Axis a carries j_a <= N_a - 1, since sine N_a
+    vanishes on its nodes, so K may be at most the product of N_a - 1 over the
+    axes. No sine is evaluated before the basis's first transform.
 
     Repeated calls with an equal domain and K return the same read-only basis;
     the 8 most recently used bases are kept.

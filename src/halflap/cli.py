@@ -270,9 +270,11 @@ def _build_config(args) -> SolveConfig:
     return SolveConfig(**{field: v for field, v in values.items() if v is not None})
 
 
-def _input_fn(basis, args) -> SpectralFn:
+def _input_fn(domain, args) -> SpectralFn:
+    """The input function of apply and extend, on the first args.modes modes."""
     if args.coeffs is not None and args.mode is not None:
         raise ConfigError("give either --coeffs or --mode, not both")
+    basis = eigenpairs(domain, args.modes)
     b = np.zeros(basis.K)
     if args.coeffs is not None:
         vals = _number_list("--coeffs", args.coeffs)
@@ -315,10 +317,9 @@ def _cmd_eig(args, domain):
 
 
 def _cmd_apply(args, domain):
-    basis = eigenpairs(domain, args.modes)
     if args.op is None:
         raise ConfigError(f"--op must be one of {', '.join(sorted(_OPS))}")
-    coeffs = list(_OPS[args.op](_input_fn(basis, args)).coeffs)
+    coeffs = list(_OPS[args.op](_input_fn(domain, args)).coeffs)
     return 0, {"op": args.op, "coeffs": coeffs}, ["k", "coeff"], enumerate(coeffs, 1)
 
 
@@ -343,10 +344,9 @@ def _cmd_sweep(args, domain):
 
 
 def _cmd_extend(args, domain):
-    basis = eigenpairs(domain, args.modes)
     if args.y is None:
         raise ConfigError("extend requires --y, the evaluation height")
-    u = evaluate_extension(_input_fn(basis, args), args.y)
+    u = evaluate_extension(_input_fn(domain, args), args.y)
     header = [f"x{a}" for a in _axis_suffixes(domain.n)] + ["u"]
     return 0, {"y": args.y, "columns": header, "rows": u}, header, u
 

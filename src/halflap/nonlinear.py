@@ -16,16 +16,16 @@ residuals cancel in the least-squares sense. A singular or nonfinite
 combination, or a step whose residual exceeds ANDERSON_RESTART times the best
 so far, clears the history and takes the plain step instead.
 
-The loop measures the projected residual r = A_half u - P(u^p) in
-coefficients, so a step takes one synthesis and one analysis. The sampled
-modes are discretely orthonormal, so |r|_2 is the residual's L^2 norm on the
-grid; the loop ranks its iterates by it, and the best one, the stall stop and
-the Anderson restart all read that ranking. Every mode is bounded by
+The loop forms the projected residual r = A_half u - P(u^p) once per
+iterate, in coefficients, so a step takes one synthesis and one analysis. The
+sampled modes are discretely orthonormal, so |r|_2 is the residual's L^2 norm
+on the grid; the loop ranks its iterates by it, and the best one, the stall
+stop and the Anderson restart all read that ranking. Every mode is bounded by
 prod_a sqrt(2/L_a), so that constant times |r|_1 bounds the residual's sup
 over the grid, and the loop stops when a new best has this bound at most
 1e-2 * tol_residual. It also stops at max_iter steps, or after STALL_STEPS
-steps without a new best. The report then measures the sup of the residual
-once, on the returned coefficients, and that sup is what tol_residual governs.
+steps without a new best. The report synthesizes the returned iterate's r,
+the vector the loop ranked it by, and its sup is what tol_residual governs.
 
 The unperturbed ground mode is even across every axis midline, and so are u^p
 and its projection, so from that start the iteration never leaves the modes
@@ -147,15 +147,6 @@ class SolveReport:
     detail: str = ""
 
 
-def _resolve_p(p: float | None, cfg: SolveConfig) -> float:
-    if p is None and cfg.p is None:
-        raise ConfigError("exponent p was not provided")
-    eff = as_real("p", cfg.p if p is None else p, ConfigError)
-    if cfg.p is not None and eff != float(cfg.p):
-        raise ConfigError(f"explicit p = {p} disagrees with config p = {cfg.p}")
-    return eff
-
-
 def _validate_exponent(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> None:
     pc = critical_exponent(domain.n)
     if math.isfinite(pc):
@@ -180,19 +171,17 @@ def _check_dealiasing(basis: EigenBasis) -> None:
 
 def _project(basis: SineTransform, u: np.ndarray, p: float, buf: np.ndarray):
     """The mode projection of the clipped power max(u, 0)^p of the coefficients
-    u on the grid, and the l2 norm of the projected residual A_half u - projection.
+    u on the grid, and the coefficients of the projected residual
+    A_half u - projection.
 
     The grid passes through buf, a node array of the basis or sector that the
-    solve allocates once, so a step allocates no node-sized array. By discrete
-    orthonormality the l2 norm of the residual's coefficients is its L^2 norm
-    on the grid, so no second synthesis is needed.
+    solve allocates once, so a step allocates no node-sized array.
     """
     basis.to_grid(u, out=buf)
     np.maximum(buf, 0.0, out=buf)
     buf **= p
     projection = basis.to_coeffs(buf)
-    r = u * basis.sqrt_lambdas - projection
-    return projection, math.sqrt(r @ r)
+    return projection, u * basis.sqrt_lambdas - projection
 
 
 def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
@@ -218,10 +207,10 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
     solve's EigenBasis or, for a ground start, its sector, and sup_mode bounds
     |phi_k| on the grid.
 
-    Returns (best, steps, stop). best is the u coefficients of the iterate
-    with the smallest l2 residual, or None after a nonfinite iterate; stop is
-    "" when the sup bound sup_mode * |r|_1 of its residual met the target,
-    else the reason the iteration ended.
+    Returns (best, r, steps, stop). best is the u coefficients of the iterate
+    with the smallest l2 residual and r the coefficients of that residual, both
+    None after a nonfinite iterate; stop is "" when the sup bound
+    sup_mode * |r|_1 met the target, else the reason the iteration ended.
     """
     s = basis.sqrt_lambdas
     basis.to_grid(np.eye(1, basis.K)[0], out=buf)  # the ground mode
@@ -230,7 +219,7 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
         buf += cfg.init_perturbation * basis.to_grid(rng.standard_normal(basis.K))
     u = basis.to_coeffs(np.abs(buf, out=buf))
     target = max(cfg.tol_residual * 1e-2, 1e-14)
-    best, best_res, best_step = None, math.inf, 0
+    best, best_r, best_res, best_step = None, None, math.inf, 0
     # differences of the last plain steps and of their residuals, kept as a
     # ring: difference i since the last restart is row i % ANDERSON_DEPTH. The
     # Gram matrix of the residual differences gains one row per step
@@ -239,20 +228,21 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
     history = 0  # differences since the last restart
     step = 0
     while True:
-        Pu, res = _project(basis, u, p, buf)
+        Pu, r = _project(basis, u, p, buf)
+        res = math.sqrt(r @ r)
         if res < best_res:
-            best, best_res, best_step = u, res, step
+            best, best_r, best_res, best_step = u, r, res, step
             # |r|_1 >= |r|_2, so the sup bound can only meet the target when
             # sup_mode * |r|_2 does
-            if sup_mode * res <= target and sup_mode * float(np.abs(u * s - Pu).sum()) <= target:
-                return best, step, ""
+            if sup_mode * res <= target and sup_mode * float(np.abs(r).sum()) <= target:
+                return best, best_r, step, ""
         if step == cfg.max_iter:
-            return best, step, f"iteration cap max_iter = {cfg.max_iter} reached"
+            return best, best_r, step, f"iteration cap max_iter = {cfg.max_iter} reached"
         if step - best_step >= STALL_STEPS:
-            return best, step, f"no new best residual in {STALL_STEPS} steps"
+            return best, best_r, step, f"no new best residual in {STALL_STEPS} steps"
         nehari = float(u @ Pu)
         if not 0.0 < nehari < math.inf:
-            return None, step, "fixed-point iteration produced a nonfinite iterate"
+            return None, None, step, "fixed-point iteration produced a nonfinite iterate"
         g = (float((s * u) @ u) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
         f = g - u
         if step > 0:
@@ -291,14 +281,21 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     ConfigError ("too coarse to dealias") before any sine is evaluated, and a K
     above the product of the N_a - 1 raises AliasingError, as in eigenpairs.
 
+    The exponent is p or cfg.p; when both are given they must be equal.
+
     A ground start (init_perturbation 0) iterates in the basis's symmetric
     sector and a perturbed one in the whole basis, and the report is measured
-    in the same space; a ground solution is zero off the sector.
+    in the same space; a ground solution is zero off the sector. residual_inf
+    is the sup of the residual the loop formed for the returned iterate.
     """
-    p = _resolve_p(p, cfg)
     if cfg.p is None:
+        if p is None:
+            raise ConfigError("exponent p was not provided")
         # replace runs SolveConfig's checks on the explicit exponent
         cfg = replace(cfg, p=p)
+    elif p is not None and as_real("p", p, ConfigError) != float(cfg.p):
+        raise ConfigError(f"explicit p = {p} disagrees with config p = {cfg.p}")
+    p = float(cfg.p)
     _validate_exponent(domain, p, cfg)
     basis = eigenpairs(domain, cfg.K)
     _check_dealiasing(basis)
@@ -308,7 +305,7 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     buf, grid = np.empty((2, space.num_nodes))
     # a bound on every mode's sup |phi_k| over the grid
     sup_mode = math.prod(math.sqrt(2.0 / L) for L in domain.lengths)
-    u, steps, stop = _fixed_point(space, p, cfg, buf, sup_mode)
+    u, r, steps, stop = _fixed_point(space, p, cfg, buf, sup_mode)
     if u is None:
         return _diverged_report(domain, p, cfg, stop)
     a_half = u * space.sqrt_lambdas
@@ -320,14 +317,12 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     buf **= p
     np.copysign(buf, grid, out=buf)
     I0 = float(a_half @ u / (u @ space.to_coeffs(buf)) ** (2.0 / (p + 1.0)))
-    # the clipped power max(u, 0)^p of the two defects
+    # the unprojected sup-norm defect of A_half u = max(u, 0)^p at the nodes
     np.maximum(buf, 0.0, out=buf)
-    # the unprojected sup-norm defect of A_half u = u^p at the nodes
     np.subtract(space.to_grid(a_half, out=grid), buf, out=grid)
     equation_defect = float(np.abs(grid, out=grid).max())
-    # the sup-norm defect of the Galerkin system, the loop's residual on the grid
-    space.to_grid(a_half - space.to_coeffs(buf), out=buf)
-    residual_inf = float(np.abs(buf, out=buf).max())
+    # the sup-norm defect of the Galerkin system: the loop's residual on the grid
+    residual_inf = float(np.abs(space.to_grid(r, out=buf), out=buf).max())
     u_coeffs = u
     if space is not basis:
         u_coeffs = np.zeros(basis.K)

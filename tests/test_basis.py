@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
@@ -191,11 +191,16 @@ def test_a_folded_axis_shares_its_odd_block_with_the_sector(sine_sizes):
 
 def _brute_force_modes(dims, K):
     """(eigenvalue, j_1, ..., j_n) of the first K modes, sorting every index tuple
-    the grid holds."""
+    the grid holds.
+
+    Each eigenvalue is the library's float64 expression: the sum over the axes of
+    x * x with x = j pi / L, as numpy squares, since the Python float x ** 2 calls
+    pow and can round apart from it. The tie rule acts on these computed values.
+    """
     n = len(dims) // 2
     lengths, counts = dims[:n], dims[n:]
     return sorted(
-        (sum((j * math.pi / L) ** 2 for j, L in zip(index, lengths)), *index)
+        (sum(x * x for x in (j * math.pi / L for j, L in zip(index, lengths))), *index)
         for index in itertools.product(*(range(1, N) for N in counts))
     )[:K]
 
@@ -441,14 +446,24 @@ def test_mode_count_bounds():
         eigenpairs(square, 50)
 
 
-@given(
-    data=st.data(), dims=st.lists(st.tuples(lengths, st.integers(8, 14)), min_size=1, max_size=3)
-)
-@settings(max_examples=50, deadline=None)
-def test_every_mode_count_the_grid_carries_matches_brute_force(data, dims):
-    # a bound box that the per-axis cap cuts short would return fewer than K modes
+@st.composite
+def grids_with_mode_counts(draw):
+    """(lengths then grid counts, K): 1 to 3 axes of 7 to 13 interior nodes and a
+    mode count the grid carries."""
+    dims = draw(st.lists(st.tuples(lengths, st.integers(8, 14)), min_size=1, max_size=3))
     flat = tuple(L for L, _ in dims) + tuple(N for _, N in dims)
-    K = data.draw(st.integers(1, math.prod(N - 1 for _, N in dims)), label="K")
+    return flat, draw(st.integers(1, math.prod(N - 1 for _, N in dims)))
+
+
+@given(case=grids_with_mode_counts())
+# exact ties that round apart: (1, 7), (7, 1) and (5, 5) on the second square all
+# have eigenvalue 50 pi^2 / L^2, computed as ...404, ...404 and ...408
+@example(case=((1.8526137981983615, 1.8526137981983615, 8, 10), 52))
+@example(case=((5.447557022223162, 5.447557022223162, 8, 8), 32))
+@settings(max_examples=50, deadline=None)
+def test_every_mode_count_the_grid_carries_matches_brute_force(case):
+    # a bound box that the per-axis cap cuts short would return fewer than K modes
+    flat, K = case
     basis = eigenpairs(_domain(flat), K)
     assert basis.K == K
     indices = np.stack(basis.factor_rows, axis=1) + 1

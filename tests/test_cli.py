@@ -627,6 +627,26 @@ def test_a_refused_configuration_exits_2_naming_the_cause(argv, config, message,
     assert message in captured.err
 
 
+_EXTEND = ["extend", "--domain", "interval:1:64", "--modes", "4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_APPLY + ["--mode", "1"], "--op must be one of"),
+    (_EXTEND + ["--mode", "1"], "extend requires --y"),
+    (_APPLY + ["--op", "a-half", "--coeffs", "1", "--mode", "1"], "not both"),
+    (_EXTEND + ["--y", "0.1", "--coeffs", "1", "--mode", "1"], "not both"),
+    # the missing option is named before a bad mode count
+    (["apply", "--domain", "interval:1:64", "--modes", "0", "--mode", "1"], "--op must be one of"),
+])
+def test_a_refusal_that_needs_no_basis_builds_none(argv, message, capsys):
+    halflap.basis._build.cache_clear()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+    assert halflap.basis._build.cache_info().currsize == 0
+
+
 def test_sweep_requires_an_exponent(tmp_path, capsys):
     code, out = run_capture(["sweep", "--domain", "interval:1:64", "--p-list", ","], capsys)
     assert (code, out) == (2, "")

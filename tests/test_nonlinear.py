@@ -369,15 +369,9 @@ def test_a_residual_without_a_new_best_ends_at_the_stall_stop():
     assert nonlinear.STALL_STEPS <= rep.iterations < cfg.max_iter
 
 
-@pytest.mark.parametrize("perturbation, space", [
-    (0.0, halflap.basis.SymmetricSector),
-    (0.05, halflap.basis.EigenBasis),
-])
-def test_each_step_runs_one_synthesis_and_one_analysis(perturbation, space, monkeypatch):
-    # two solves stopped at the iteration cap differ only by their extra steps,
-    # so the start and the report cancel from the difference of their counts;
-    # every transform of a ground solve is in the sector, and of a perturbed
-    # one in the whole basis
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Counts of the to_grid and to_coeffs calls, keyed by (transform type, name)."""
     calls = Counter()
     for name in ("to_grid", "to_coeffs"):
         method = getattr(halflap.basis.SineTransform, name)
@@ -387,6 +381,19 @@ def test_each_step_runs_one_synthesis_and_one_analysis(perturbation, space, monk
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(halflap.basis.SineTransform, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("perturbation, space", [
+    (0.0, halflap.basis.SymmetricSector),
+    (0.05, halflap.basis.EigenBasis),
+])
+def test_each_step_runs_one_synthesis_and_one_analysis(perturbation, space, transform_calls):
+    # two solves stopped at the iteration cap differ only by their extra steps,
+    # so the start and the report cancel from the difference of their counts;
+    # every transform of a ground solve is in the sector, and of a perturbed
+    # one in the whole basis
+    calls = transform_calls
     counts = []
     for max_iter in (3, 8):
         cfg = cfg_1d(max_iter=max_iter, init_perturbation=perturbation, rng_seed=1)
@@ -396,6 +403,24 @@ def test_each_step_runs_one_synthesis_and_one_analysis(perturbation, space, monk
     assert {kind for kind, _ in calls} == {space}
     assert {name: counts[1][space, name] - 2 * counts[0][space, name] for _, name in calls} == {
         "to_grid": 5, "to_coeffs": 5
+    }
+
+
+@pytest.mark.parametrize("domain, K", [(UNIT_INTERVAL, 64), (UNIT_SQUARE, 60)])
+@pytest.mark.parametrize("perturbation", [0.0, 0.05])
+def test_a_converged_solve_analyzes_iterations_plus_three_times(domain, K, perturbation,
+                                                                transform_calls):
+    # analyses: the start, one per iterate measured (iterations + 1) and the
+    # report's constraint sum, whose residual is the loop's own; syntheses:
+    # the ground mode, the perturbation if any, one per iterate, and the
+    # report's u, A_half u and residual
+    cfg = SolveConfig(p=2.0, K=K, init_perturbation=perturbation, rng_seed=1)
+    rep = solve(domain, 2.0, cfg)
+    assert rep.converged, rep.detail
+    space = halflap.basis.EigenBasis if perturbation else halflap.basis.SymmetricSector
+    assert transform_calls == {
+        (space, "to_coeffs"): rep.iterations + 3,
+        (space, "to_grid"): rep.iterations + (6 if perturbation else 5),
     }
 
 
