@@ -56,7 +56,6 @@ from .verification import (
     check_positivity,
     check_symmetry,
     check_weak_mp,
-    reflect,
     stability_margin,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "inner_product",
     "make_interval",
     "make_rectangle",
-    "reflect",
     "solve",
     "stability_margin",
     "sweep",

@@ -141,7 +141,7 @@ def make_rectangle(L1: float, L2: float, N1: int, N2: int) -> DiscreteDomain:
     return DiscreteDomain((L1, L2), (N1, N2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFn:
     """Function values sampled at the interior nodes of a domain.
 
@@ -195,16 +195,6 @@ class SineTransform:
     def num_nodes(self) -> int:
         return math.prod(self.shape)
 
-    @cached_property
-    def _in_order(self) -> bool:
-        """Whether the modes are every row of every factor, in C order, as on
-        an interval: then the coefficients are C itself, with no scatter or gather."""
-        counts = self.max_indices
-        return self.K == math.prod(counts) and all(
-            np.array_equal(r, i)
-            for r, i in zip(self.factor_rows, np.unravel_index(np.arange(self.K), counts))
-        )
-
     def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the nodes.
 
@@ -216,7 +206,9 @@ class SineTransform:
         leaving the nodes in C order.
         """
         counts = self.max_indices
-        if self._in_order:
+        # on one axis the modes are rows 0..K-1 in order, as (j pi / L)^2 grows
+        # with j and the sector keeps every other row: C is the coefficients
+        if len(self.factor_rows) == 1:
             c = coeffs
         else:
             c = np.zeros(counts)
@@ -243,11 +235,12 @@ class SineTransform:
         for nodes, m in zip(self.shape, self.coeff_factors):
             c = c.reshape(nodes, -1)
             c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
-        c = c.reshape(-1) if self._in_order else c.reshape(self.max_indices)[self.factor_rows]
-        return c * self.weight
+        if len(self.factor_rows) > 1:
+            c = c.reshape(self.max_indices)[self.factor_rows]
+        return c.reshape(-1) * self.weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis(SineTransform):
     """Ordered Dirichlet eigenpairs on the grid, discretely orthonormal.
 

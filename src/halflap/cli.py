@@ -271,21 +271,27 @@ def _build_config(args) -> SolveConfig:
 
 
 def _input_fn(domain, args) -> SpectralFn:
-    """The input function of apply and extend, on the first args.modes modes."""
+    """The input function of apply and extend, on the first args.modes modes.
+
+    The input is checked against the mode count, by eigenpairs' rule, before
+    eigenpairs builds the basis, so a refused input leaves no basis cached.
+    """
     if args.coeffs is not None and args.mode is not None:
         raise ConfigError("give either --coeffs or --mode, not both")
-    basis = eigenpairs(domain, args.modes)
-    b = np.zeros(basis.K)
+    K = as_integer("mode count K", args.modes, DomainError, at_least=1)
     if args.coeffs is not None:
-        vals = _number_list("--coeffs", args.coeffs)
-        if len(vals) > basis.K:
-            raise ConfigError(f"got {len(vals)} coefficients for {basis.K} modes")
-        b[: len(vals)] = vals
+        start, vals = 0, _number_list("--coeffs", args.coeffs)
+        if len(vals) > K:
+            raise ConfigError(f"got {len(vals)} coefficients for {K} modes")
     else:
         m = 1 if args.mode is None else args.mode
-        if not 1 <= m <= basis.K:
-            raise ConfigError(f"mode {m} out of range 1..{basis.K}")
-        b[m - 1] = 1.0
+        if not 1 <= m <= K:
+            raise ConfigError(f"mode {m} out of range 1..{K}")
+        start, vals = m - 1, [1.0]
+    # the basis first: it refuses a K the grid cannot carry before b is allocated
+    basis = eigenpairs(domain, K)
+    b = np.zeros(K)
+    b[start : start + len(vals)] = vals
     return SpectralFn(basis, b)
 
 

@@ -126,10 +126,9 @@ class SolveReport:
     unprojected defect against the pointwise power, which is limited by
     spectral truncation and decreases as K and N grow. The fields are measured
     in the space the loop ran in (see solve); solution is a K-vector on the
-    whole basis. iterations counts
-    fixed-point steps; when the solve did not converge, detail names the stop
-    that fired. The defaults are the values of a solve that produced no
-    solution.
+    whole basis. iterations counts fixed-point steps; when the solve did not
+    converge, detail names the stop that fired. The defaults are the values of
+    a solve that produced no solution.
     """
 
     solution: SpectralFn | None = None

@@ -43,11 +43,6 @@ def _axis(u: GridFn, axis: int) -> int:
     return axis
 
 
-def reflect(u: GridFn, axis: int) -> GridFn:
-    """Reflect a grid function across the domain midline of one axis."""
-    return GridFn(u.domain, np.flip(u.reshaped(), axis=_axis(u, axis)).ravel())
-
-
 def check_weak_mp(basis: EigenBasis, g: GridFn, *more: GridFn) -> CheckReport:
     """Discrete weak maximum principle: B_half g stays nonnegative for g >= 0.
 
@@ -94,8 +89,8 @@ def check_positivity(u: GridFn) -> CheckReport:
 def check_symmetry(u: GridFn, axis: int) -> CheckReport:
     """Reflection symmetry across the midline of one axis, to SYMMETRY_REL_TOL times sup |u|.
 
-    The metric is sup |u - reflect(u, axis)|, measured in one temporary array
-    that then holds |u| for the sup.
+    The metric is sup |u - u flipped along the axis|, measured in one temporary
+    array that then holds |u| for the sup.
     """
     arr = u.reshaped()
     scratch = arr - np.flip(arr, axis=_axis(u, axis))

@@ -440,6 +440,17 @@ def test_solve_does_not_import_scipy():
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
+def test_the_library_does_not_import_its_cli():
+    # import halflap is what a library user pays for, the CLI and argparse are not
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, halflap; print(sorted({'halflap.cli', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_missing_config_file(capsys):
     code = run(["solve", "--config", "/nonexistent/run.cfg", "--p", "2"])
     capsys.readouterr()
@@ -637,6 +648,11 @@ _EXTEND = ["extend", "--domain", "interval:1:64", "--modes", "4"]
     (_EXTEND + ["--y", "0.1", "--coeffs", "1", "--mode", "1"], "not both"),
     # the missing option is named before a bad mode count
     (["apply", "--domain", "interval:1:64", "--modes", "0", "--mode", "1"], "--op must be one of"),
+    # the input is checked against --modes before the basis is built
+    (_APPLY + ["--op", "a-half", "--coeffs", "1,x"], "bad --coeffs entry 2: 'x'"),
+    (_APPLY + ["--op", "a-half", "--coeffs", "1,2,3,4,5"], "got 5 coefficients for 4 modes"),
+    (_APPLY + ["--op", "a-half", "--mode", "9"], "mode 9 out of range 1..4"),
+    (_EXTEND + ["--y", "0.1", "--mode", "0"], "mode 0 out of range 1..4"),
 ])
 def test_a_refusal_that_needs_no_basis_builds_none(argv, message, capsys):
     halflap.basis._build.cache_clear()
