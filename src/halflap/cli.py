@@ -102,16 +102,26 @@ _MP_BLOCK_VALUES = 2**20
 def _node_rows(u: GridFn, left: str, right: str, sep: str = ""):
     """Rows `left + coordinates,value + right` of u, one per node in C order.
 
-    Rows join by sep into blocks of _BLOCK_ROWS rows, yielded one at a time; each
-    axis's node coordinates are formatted once.
+    Rows join by sep into blocks of at most _BLOCK_ROWS rows, yielded one at a
+    time. Each axis's node coordinates are formatted once, and the part of a
+    block that shares every coordinate but the last is one template, built by
+    one join over the last axis.
     """
-    axes = [[_FLOAT % x + "," for x in u.domain.axis_nodes(a).tolist()] for a in range(u.domain.n)]
-    heads = map("".join, itertools.product(*axes))
+    *lead, last = [[_FLOAT % x + "," for x in u.domain.axis_nodes(a).tolist()]
+                   for a in range(u.domain.n)]
+    width = len(last)
+    # the heads become format template text: a formatted number holds no "%"
+    heads = [left + "".join(head) for head in itertools.product(*lead)]
+    cell = _FLOAT + right
     for start in range(0, u.values.size, _BLOCK_ROWS):
         block = u.values[start : start + _BLOCK_ROWS].tolist()
-        # the heads become format template text: a formatted number holds no "%"
-        rows = [left + head + _FLOAT + right for head in itertools.islice(heads, len(block))]
-        yield sep.join(rows) % tuple(block)
+        end = start + len(block)
+        runs = []
+        for line in range(start // width, (end - 1) // width + 1):
+            head, first = heads[line], line * width
+            cols = last[max(start - first, 0) : end - first]
+            runs.append(head + (cell + sep + head).join(cols) + cell)
+        yield sep.join(runs) % tuple(block)
 
 
 def _json(obj) -> str:

@@ -23,6 +23,13 @@ WEAK_MP_REL_TOL = 1e-8
 SYMMETRY_REL_TOL = 1e-8
 MONOTONE_REL_TOL = 1e-10
 HOPF_REL_FLOOR = 1e-6
+# check_weak_mp transforms its sources in blocks of at most this many node
+# values, 128 KiB in one buffer per call, and measures each source alone when
+# a block would hold only one. A larger buffer is mapped and faulted in afresh
+# on every call, and a block that outgrows the cache gains little over lone
+# transforms, which on a large grid are one large product per axis already;
+# README "Verification battery" has the measurements
+WEAK_MP_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,21 @@ def check_weak_mp(basis: EigenBasis, g: GridFn, *more: GridFn) -> CheckReport:
     reference battery; the discrete operator is not entrywise nonnegative as a
     matrix fact, but its action on nonnegative data stays above this floor.
     Given more sources, checks each one and reports the worst: the smallest
-    metric + tolerance, the first on ties. A source on a domain other than the
-    basis's raises DomainMismatchError.
+    metric + tolerance, the first on ties. A signed source raises ValueError
+    and a source on a domain other than the basis's DomainMismatchError, the
+    first bad source in order deciding which.
+
+    Several sources are transformed in blocks (see WEAK_MP_BLOCK_VALUES), and
+    only those that _screen keeps are measured again alone, so the report and
+    any error are the ones that measuring every source alone would give, bit
+    for bit.
     """
+    sources = (g, *more)
+    rows = WEAK_MP_BLOCK_VALUES // basis.domain.num_nodes
+    screened = _screen(basis, sources, rows) if min(len(sources), rows) > 1 else range(len(sources))
     worst = None
-    for source in (g, *more):
+    for i in screened:
+        source = sources[i]
         if float(source.values.min()) < 0.0:
             raise ValueError("check_weak_mp requires g >= 0 pointwise")
         # B_half divides the coefficients by sqrt(lambda), as apply_B_half does
@@ -71,6 +88,49 @@ def check_weak_mp(basis: EigenBasis, g: GridFn, *more: GridFn) -> CheckReport:
         tolerance=tol,
         detail=f"min of B_half g = {metric:.3e} against floor {-tol:.3e}",
     )
+
+
+def _screen(basis: EigenBasis, sources: tuple[GridFn, ...], rows: int) -> np.ndarray:
+    """Indices, in order, of the sources that can be the worst.
+
+    Each block of at most rows stacked sources takes one to_coeffs and one
+    to_grid, and the block keys of every source are compared. For g >= 0, any
+    summation order computes each value of B_half g to within
+    B = d (eps / 2) M^2 w sum(g) sum_k 1/sqrt(lambda_k), to first order:
+    M = prod_a sqrt(2/L_a) bounds every mode, w is the node weight, and
+    d = 2 + sum_a (N_a + J_a + 1) counts the roundings on each axis of N_a - 1
+    nodes and J_a sine indices, its fold, and the two scalings; sum(g) is
+    taken at its bound, num_nodes times the largest sup g. A row's block
+    key, metric + tolerance, is then within 2B of its lone key, so a row whose
+    lone key is the smallest has a block key within 4B of the smallest. The
+    slack is 8B: the margin covers the rounding of the keys and of the bound
+    itself. A source that is signed or on another domain, or a key that
+    overflowed, leaves nothing to bound: then every source is kept, and
+    measured alone in order the first bad one raises.
+    """
+    every = np.arange(len(sources))
+    keys, sups = [], []
+    # one buffer serves every block, so its memory is faulted in once a call
+    buf = np.empty((min(rows, len(sources)), basis.domain.num_nodes))
+    for start in range(0, len(sources), rows):
+        block = sources[start : start + rows]
+        if any(source.domain != basis.domain for source in block):
+            return every
+        g = np.stack([source.values for source in block], out=buf[: len(block)])
+        if g.min() < 0.0:
+            return every
+        sups.append(g.max(axis=1))
+        basis.to_grid(basis.to_coeffs(g) / basis.sqrt_lambdas, out=g)
+        keys.append(g.min(axis=1) + WEAK_MP_REL_TOL * sups[-1])
+    keys = np.concatenate(keys)
+    if not np.isfinite(keys).all():
+        return every
+    mass = basis.domain.num_nodes * float(max(sup.max() for sup in sups))
+    d = 2 + sum(N + J + 1 for N, J in zip(basis.domain.grid_counts, basis.max_indices))
+    sup_mode_sq = math.prod(2.0 / L for L in basis.domain.lengths)
+    slack = (4 * d * np.finfo(float).eps * sup_mode_sq * basis.domain.weight * mass
+             * float(np.sum(1.0 / basis.sqrt_lambdas)))
+    return np.flatnonzero(keys <= keys.min() + slack)
 
 
 def check_positivity(u: GridFn) -> CheckReport:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 import halflap
+import halflap.basis as basis_module
 from halflap import (
     AliasingError,
     DiscreteDomain,
@@ -151,6 +152,78 @@ def test_to_grid_refuses_an_out_it_cannot_view():
     basis = eigenpairs(_domain((2.0, 1.0, 256, 128)), 127)
     with pytest.raises(ValueError, match="without a copy"):
         basis.to_grid(np.ones(127), out=np.empty((255, 127)).T)
+
+
+# 256/K64 direct, 1024/K256 folded, the 64^2 square direct, the long rectangle
+# folded on axis 0 only, and a box
+BLOCK_CASES = [((1.0, 256), 64), ((1.0, 1024), 256), ((1.0, 1.0, 64, 64), 60),
+               ((16.0, 1.0, 2048, 16), 60), BOXES[1]]
+
+
+@pytest.mark.parametrize("space", ["basis", "sector"])
+@pytest.mark.parametrize("dims, K", BLOCK_CASES)
+def test_a_block_transforms_each_row_as_one_vector(dims, K, space):
+    basis = eigenpairs(_domain(dims), K)
+    t = basis if space == "basis" else basis.sector
+    rng = np.random.default_rng(17)
+    coeffs = rng.standard_normal((5, t.K))
+    values = rng.uniform(0.0, 1.0, (5, t.num_nodes))
+    grids = t.to_grid(coeffs)
+    out = np.full((5, t.num_nodes), np.nan)
+    assert t.to_grid(coeffs, out=out) is out
+    np.testing.assert_array_equal(out, grids)
+    blocks = t.to_coeffs(values)
+    assert grids.shape == values.shape and blocks.shape == coeffs.shape
+    for row in range(5):
+        one = t.to_grid(coeffs[row])
+        assert np.max(np.abs(grids[row] - one)) <= 1e-14 * np.max(np.abs(one))
+        one = t.to_coeffs(values[row])
+        assert np.max(np.abs(blocks[row] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def _reference_to_grid(t, coeffs):
+    """SineTransform.to_grid of one vector as it was before blocks were taken."""
+    counts = t.max_indices
+    if len(t.factor_rows) == 1:
+        c = coeffs
+    else:
+        c = np.zeros(counts)
+        c[t.factor_rows] = coeffs
+    out = np.empty(t.num_nodes)
+    for axis, (count, nodes, m) in enumerate(zip(counts, t.shape, t.factors)):
+        c = c.reshape(count, -1).T
+        dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
+        c = (basis_module._unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
+             if isinstance(m, tuple) else np.matmul(c, m, out=dest))
+    return out
+
+
+def _reference_to_coeffs(t, values):
+    """SineTransform.to_coeffs of one grid as it was before blocks were taken."""
+    c = values
+    for nodes, m in zip(t.shape, t.coeff_factors):
+        c = c.reshape(nodes, -1)
+        c = (basis_module._fold(c, *m) if isinstance(m, tuple) else m @ c).T
+    if len(t.factor_rows) > 1:
+        c = c.reshape(t.max_indices)[t.factor_rows]
+    return c.reshape(-1) * t.weight
+
+
+@pytest.mark.parametrize("space", ["basis", "sector"])
+@pytest.mark.parametrize(
+    "dims, K",
+    [((1.0, 256), 64), ((1.0, 1024), 256), ((1.0, 1.0, 64, 64), 60),
+     ((1.0, 1.0, 128, 128), 127), ((2.0, 1.0, 256, 128), 127)],
+)
+def test_one_vector_transforms_as_before_blocks(dims, K, space):
+    # the benchmark's solve bases: taking blocks leaves one vector's
+    # operations, and so its bits, as they were
+    basis = eigenpairs(_domain(dims), K)
+    t = basis if space == "basis" else basis.sector
+    rng = np.random.default_rng(19)
+    coeffs, values = rng.standard_normal(t.K), rng.standard_normal(t.num_nodes)
+    np.testing.assert_array_equal(t.to_grid(coeffs), _reference_to_grid(t, coeffs))
+    np.testing.assert_array_equal(t.to_coeffs(values), _reference_to_coeffs(t, values))
 
 
 # direct axes with even and odd N (256/K64, 255/K63), folded ones (1024/K256,

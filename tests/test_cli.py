@@ -14,9 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 import halflap.cli
 from halflap import (
-    DiscreteDomain, SpectralFn, eigenpairs, evaluate_extension, make_interval, make_rectangle,
+    DiscreteDomain, GridFn, SpectralFn, eigenpairs, evaluate_extension, make_interval,
+    make_rectangle,
 )
-from halflap.cli import _csv_cell, _json, _write_csv, run
+from halflap.cli import _BLOCK_ROWS, _csv_cell, _json, _node_rows, _parse_domain, _write_csv, run
 
 
 def run_capture(argv, capsys):
@@ -216,6 +217,16 @@ def test_trace_constant_json(capsys):
     data = json.loads(out)
     assert data["n"] == 2
     assert data["value"] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+def test_trace_constant_past_the_float_range_of_gamma(capsys):
+    code, out = run_capture(["trace-constant", "--n", "400"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(41.25975009495, rel=1e-12)
+    code = run(["trace-constant", "--n", "1" + "0" * 400])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "too large for a float" in captured.err
 
 
 def test_trace_constant_refuses_dimension_one(capsys):
@@ -859,6 +870,23 @@ def test_extend_bytes_match_the_cell_by_cell_layout(spec, domain, header, fmt, t
     assert run(["extend", "--domain", spec, "--modes", "8", "--mode", "3", "--y", str(y),
                 "--format", fmt, "--output", str(path)]) == 0
     assert path.read_bytes() == want.encode("utf-8")
+
+
+# a line longer than a block, lines of 2099 and of 16 nodes, and a box
+@pytest.mark.parametrize(
+    "spec",
+    ["interval:1:3000", "rectangle:1:2:8:2100", "rectangle:1:2:130:17", "box:1:2:3:9:10:11"],
+)
+def test_node_rows_match_the_row_by_row_layout(spec):
+    domain = _parse_domain(spec)
+    u = GridFn(domain, np.random.default_rng(23).standard_normal(domain.num_nodes))
+    rows = [",".join(_cell(c) for c in coords) + "," + _cell(v)
+            for coords, v in zip(domain.node_coords(), u.values)]
+    # CSV lines are written one block after another, JSON rows join by commas
+    for left, right, sep in (("", "\n", ""), ("[", "]", ",")):
+        blocks = list(_node_rows(u, left, right, sep))
+        assert sep.join(blocks) == sep.join(left + row + right for row in rows)
+        assert all(0 < block.count(right) <= _BLOCK_ROWS for block in blocks)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 3)),

@@ -113,12 +113,32 @@ def test_dtn_fd_rejects_nonpositive_step():
 
 def test_trace_constant_dimension_two():
     assert best_trace_constant(2) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    # below n = 343, Gamma((n + 1) / 2) is a float and sigma_n is taken directly
+    assert best_trace_constant(2) == math.sqrt(math.pi)
 
 
 def test_trace_constant_dimension_three():
     want = (2.0 * math.pi**2) ** (1.0 / 3.0)
     assert best_trace_constant(3) == pytest.approx(want, rel=1e-12)
     assert best_trace_constant(3) == pytest.approx(2.70257, abs=5e-5)
+
+
+@pytest.mark.parametrize("n", [342, 343, 400, 1001])
+def test_trace_constant_past_the_float_range_of_gamma(n):
+    # Gamma((n + 1) / 2) overflows a float from n = 343 on; sigma_n here comes
+    # from sigma_0 = 2, sigma_1 = 2 pi and sigma_n = 2 pi sigma_(n-2) / (n - 1)
+    if n >= 343:
+        with pytest.raises(OverflowError):
+            math.gamma((n + 1) / 2)
+    log_sigma = math.log(2.0 if n % 2 == 0 else 2.0 * math.pi)
+    log_sigma += sum(math.log(2.0 * math.pi / (k - 1)) for k in range(2 + n % 2, n + 1, 2))
+    want = (n - 1) * math.exp(log_sigma / n) / 2.0
+    assert best_trace_constant(n) == pytest.approx(want, rel=1e-12)
+
+
+def test_trace_constant_refuses_a_dimension_too_large_for_a_float():
+    with pytest.raises(ValueError, match="too large for a float"):
+        best_trace_constant(10**400)
 
 
 def test_trace_constant_rejects_dimension_one():

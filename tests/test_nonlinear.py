@@ -369,6 +369,16 @@ def test_a_residual_without_a_new_best_ends_at_the_stall_stop():
     assert nonlinear.STALL_STEPS <= rep.iterations < cfg.max_iter
 
 
+def test_a_tolerance_below_the_floor_names_the_floor_target():
+    # 1e-2 * tol_residual is below TARGET_FLOOR, so the loop stops when its sup
+    # bound meets the floor, with a residual that meets the floor but not the
+    # tolerance
+    rep = solve(UNIT_INTERVAL, 2.0, SolveConfig(p=2.0, K=64, tol_residual=1e-15))
+    assert not rep.converged
+    assert rep.tol_residual < rep.residual_inf <= nonlinear.TARGET_FLOOR
+    assert rep.detail == "residual above tol_residual: the sup bound met the floor target 1e-14"
+
+
 @pytest.fixture
 def transform_calls(monkeypatch):
     """Counts of the to_grid and to_coeffs calls, keyed by (transform type, name)."""

@@ -88,7 +88,9 @@ def _sources(domain, count):
 
 
 @pytest.mark.parametrize(
-    "domain, K, count", [(UNIT_INTERVAL, 64, 100), (make_rectangle(1.0, 1.0, 64, 64), 60, 10)]
+    "domain, K, count",
+    [(UNIT_INTERVAL, 64, 100), (make_rectangle(1.0, 1.0, 64, 64), 60, 10),
+     (make_interval(1.0, 1024), 256, 50), (DiscreteDomain((2.0, 1.0, 1.5), (32, 16, 24)), 15, 12)],
 )
 def test_weak_mp_over_many_sources_reports_the_worst_single_source(domain, K, count):
     basis = eigenpairs(domain, K)
@@ -97,6 +99,35 @@ def test_weak_mp_over_many_sources_reports_the_worst_single_source(domain, K, co
     worst = min(singles, key=lambda rep: rep.metric + rep.tolerance)
     assert singles.index(worst) > 0
     assert check_weak_mp(basis, *sources) == worst
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 100])
+def test_weak_mp_blocks_of_any_size_report_the_worst_single_source(basis_1d, rows, monkeypatch):
+    # room for one source a block measures each alone; blocks of 2 and 7 screen
+    # the 100 sources across blocks, and 100 takes them in one
+    sources = _sources(UNIT_INTERVAL, 100)
+    singles = [check_weak_mp(basis_1d, g) for g in sources]
+    worst = min(singles, key=lambda rep: rep.metric + rep.tolerance)
+    monkeypatch.setattr(verification, "WEAK_MP_BLOCK_VALUES", rows * UNIT_INTERVAL.num_nodes)
+    assert check_weak_mp(basis_1d, *sources) == worst
+
+
+def test_weak_mp_identical_sources_are_all_measured_alone(basis_1d):
+    sources = _sources(UNIT_INTERVAL, 1) * 3
+    np.testing.assert_array_equal(verification._screen(basis_1d, tuple(sources), 4), [0, 1, 2])
+    assert check_weak_mp(basis_1d, *sources) == check_weak_mp(basis_1d, sources[0])
+
+
+def test_weak_mp_near_tie_is_decided_by_the_lone_measurement(basis_1d):
+    # g and g + one ulp at every node have keys far closer than the screen's
+    # slack, so both are measured alone and their lone keys pick the worst
+    (g,) = _sources(UNIT_INTERVAL, 1)
+    near = GridFn(UNIT_INTERVAL, np.nextafter(g.values, 2.0))
+    for pair in ((g, near), (near, g)):
+        np.testing.assert_array_equal(verification._screen(basis_1d, pair, 4), [0, 1])
+        singles = [check_weak_mp(basis_1d, source) for source in pair]
+        worst = min(singles, key=lambda rep: rep.metric + rep.tolerance)
+        assert check_weak_mp(basis_1d, *pair) == worst
 
 
 def test_weak_mp_first_of_tied_sources_wins(basis_1d, monkeypatch):
@@ -131,6 +162,28 @@ def test_weak_mp_rejects_a_bad_source_at_any_position(basis_1d, position, bad, m
     sources.insert(position, source)
     with pytest.raises(error, match=message):
         check_weak_mp(basis_1d, *sources)
+
+
+@pytest.mark.parametrize("bad", ["signed", "other domain"])
+def test_weak_mp_raises_for_the_first_bad_source_as_alone(basis_1d, bad):
+    # a source of 1e307 at every node overflows its coefficients, which analyze
+    # refuses; measured alone in order, it raises before a later bad source
+    good = GridFn(UNIT_INTERVAL, np.ones(UNIT_INTERVAL.num_nodes))
+    huge = GridFn(UNIT_INTERVAL, np.full(UNIT_INTERVAL.num_nodes, 1e307))
+    if bad == "signed":
+        vals = np.ones(UNIT_INTERVAL.num_nodes)
+        vals[7] = -1e-6
+        source, error, message = GridFn(UNIT_INTERVAL, vals), ValueError, "requires g >= 0"
+    else:
+        source = GridFn(make_interval(2.0, 256), np.ones(UNIT_INTERVAL.num_nodes))
+        error, message = DomainMismatchError, "must share"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            check_weak_mp(basis_1d, good, huge, good, source)
+        with pytest.raises(error, match=message):
+            check_weak_mp(basis_1d, good, source, good, huge)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            check_weak_mp(basis_1d, good, good, huge)
 
 
 def test_positivity_of_solution(solved_1d):
