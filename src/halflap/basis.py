@@ -160,7 +160,7 @@ class GridFn:
             raise DomainMismatchError(
                 f"value count {vals.size} does not match the {self.domain.num_nodes} interior nodes"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", _freeze(vals))
 
@@ -198,29 +198,26 @@ class SineTransform:
     def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the nodes.
 
-        coeffs is one K-vector or a block of m rows, shape (m, K), and the
-        values are num_nodes entries per row, flat or shaped (m, num_nodes).
-        As with numpy's out=, they go into out, a float array of that size that
-        must reshape to (-1, shape[-1]) without a copy, and out is returned;
-        without out they go into a new array. C, shaped like max_indices with
-        a block's rows as one more, last axis, holds the coefficients at
-        factor_rows; each node axis of C in turn is contracted with its
-        factor, or its two blocks, and moved last, leaving the rows first and
-        the nodes in C order.
+        As with numpy's out=, the values go into out, a float array of num_nodes
+        entries that must reshape to (-1, shape[-1]) without a copy, and out is
+        returned; without out they go into a new flat array. C, shaped like
+        max_indices, holds the coefficients at factor_rows; each axis of C in
+        turn is contracted with its factor, or its two blocks, and moved last,
+        leaving the nodes in C order. A block of m coefficient rows, shape
+        (m, K), gives m rows of values, shape (m, num_nodes), the same way.
         """
-        counts, rows = self.max_indices, ()
         if coeffs.ndim > 1:
-            # a block's rows ride along as the last axis of C and come out first
-            coeffs, rows = coeffs.T, coeffs.shape[:1]
+            return self._block_to_grid(coeffs, out)
+        counts = self.max_indices
         # on one axis the modes are rows 0..K-1 in order, as (j pi / L)^2 grows
         # with j and the sector keeps every other row: C is the coefficients
         if len(self.factor_rows) == 1:
             c = coeffs
         else:
-            c = np.zeros(counts + rows)
+            c = np.zeros(counts)
             c[self.factor_rows] = coeffs
         if out is None:
-            out = np.empty(rows + (self.num_nodes,))
+            out = np.empty(self.num_nodes)
         for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
             c = c.reshape(count, -1).T
             dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
@@ -233,28 +230,47 @@ class SineTransform:
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <u, phi_k> of the grid values u, by the node quadrature.
 
-        values is one grid, num_nodes entries, or a block of m rows, shape
-        (m, num_nodes), and the coefficients are a K-vector or (m, K). This is
-        to_grid transposed: with a block's rows as the last axis, each node
-        axis in turn is contracted with its coeff_factors entry, or its two
-        blocks, and moved last; each mode then reads its entry, times the node
-        weight. A block on several axes whose first factor is direct contracts
-        that axis in each row in place, one product per row, which leaves the
-        rows behind the other node axes without a transposed copy of the block.
+        to_grid transposed: each node axis in turn is contracted with its
+        coeff_factors entry, or its two blocks, and moved last; each mode then
+        reads its entry, times the node weight. A block of m rows of values,
+        shape (m, num_nodes), gives m coefficient rows, shape (m, K).
         """
-        block = values.ndim > 1
-        c = values.T if block else values
-        axes = zip(self.shape, self.coeff_factors)
-        if block and len(self.shape) > 1 and not isinstance(self.coeff_factors[0], tuple):
-            nodes, m = next(axes)
-            c = (m @ values.reshape(len(values), nodes, -1)).transpose(2, 0, 1)
-        for nodes, m in axes:
+        if values.ndim > 1:
+            return self._block_to_coeffs(values)
+        c = values
+        for nodes, m in zip(self.shape, self.coeff_factors):
             c = c.reshape(nodes, -1)
             c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
         if len(self.factor_rows) > 1:
-            c = (c.reshape(len(values), *self.max_indices)[(slice(None), *self.factor_rows)]
-                 if block else c.reshape(self.max_indices)[self.factor_rows])
-        return c.reshape((len(values), -1) if block else -1) * self.weight
+            c = c.reshape(self.max_indices)[self.factor_rows]
+        return c.reshape(-1) * self.weight
+
+    # A block's rows ride along as one more, last axis of C, so each axis is
+    # one product for the whole block, and come out first. These bodies are
+    # kept apart from the single-vector ones, which the solver runs on every
+    # step, so that one vector does none of the block's extra work.
+    def _block_to_grid(self, coeffs: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        counts = self.max_indices
+        c = np.zeros(counts + coeffs.shape[:1])
+        c[self.factor_rows] = coeffs.T
+        if out is None:
+            out = np.empty((len(coeffs), self.num_nodes))
+        for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
+            c = c.reshape(count, -1).T
+            dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
+            if dest is not None and not np.may_share_memory(dest, out):
+                raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
+            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
+                 if isinstance(m, tuple) else np.matmul(c, m, out=dest))
+        return out
+
+    def _block_to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        c = values.T
+        for nodes, m in zip(self.shape, self.coeff_factors):
+            c = c.reshape(nodes, -1)
+            c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
+        c = c.reshape(len(values), *self.max_indices)[(slice(None), *self.factor_rows)]
+        return c * self.weight
 
 
 @dataclass(frozen=True, eq=False)

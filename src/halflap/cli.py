@@ -35,6 +35,7 @@ from .verification import (
     check_monotonicity,
     check_positivity,
     check_symmetry,
+    WEAK_MP_BLOCK_VALUES,
     check_weak_mp,
     stability_margin,
 )
@@ -94,9 +95,6 @@ _DEFAULTS = {"modes": SolveConfig.K, "mp_samples": 10, "c_minus": 0.0}
 # and inf included. Tables are formatted _BLOCK_ROWS rows per string to bound the text held.
 _FLOAT = "%.17g"
 _BLOCK_ROWS = 1024
-# check draws and checks its weak-maximum-principle sources at most this many
-# grid values at a time, so the sources it holds do not grow with --mp-samples
-_MP_BLOCK_VALUES = 2**20
 
 
 def _node_rows(u: GridFn, left: str, right: str, sep: str = ""):
@@ -376,10 +374,12 @@ def _cmd_check(args, domain):
     checks = []
     if report.solution is not None:
         # one generator draws the sources row by row, so source i does not
-        # depend on how many are drawn nor on how they are split in blocks;
-        # the worst is the first with the smallest metric + tolerance
+        # depend on how many are drawn nor on how they are split in blocks. A
+        # block is what check_weak_mp transforms at once, so the sources held
+        # do not grow with --mp-samples; the worst is the first with the
+        # smallest metric + tolerance
         rng = np.random.default_rng(cfg.rng_seed)
-        rows = max(1, _MP_BLOCK_VALUES // domain.num_nodes)
+        rows = max(1, WEAK_MP_BLOCK_VALUES // domain.num_nodes)
         worst = None
         for start in range(0, args.mp_samples, rows):
             sources = rng.uniform(0.0, 1.0, (min(rows, args.mp_samples - start), domain.num_nodes))

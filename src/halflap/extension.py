@@ -44,16 +44,12 @@ def dtn_fd(f: SpectralFn, h: float) -> GridFn:
 def best_trace_constant(n: int) -> float:
     """Sharp constant of the half-space trace inequality: (n-1) sigma_n^(1/n) / 2.
 
-    sigma_n is the surface measure of the unit n-sphere in R^(n+1). For n = 2
-    the value is sqrt(pi). sigma_n is 2 pi^x / Gamma(x) with x = (n + 1) / 2.
-    Gamma(x) overflows a float from n = 343 on, while the constant grows like
-    sqrt(n), so from there sigma_n is taken in logarithms; an n too large for
-    a float raises ValueError.
+    sigma_n is the surface measure of the unit n-sphere in R^(n+1), 2 pi^x /
+    Gamma(x) with x = (n + 1) / 2. For n = 2 the value is sqrt(pi). Gamma(x)
+    overflows a float from n = 343 on while the constant grows like sqrt(n), so
+    sigma_n is taken in logarithms; an n too large for a float raises ValueError.
     """
     n = as_integer("dimension n", n, at_least=2)
-    if n < 343:
-        sigma = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
-        return (n - 1) * sigma ** (1.0 / n) / 2.0
     try:
         x = (n + 1) / 2
         log_sigma = math.log(2.0) + x * math.log(math.pi) - math.lgamma(x)

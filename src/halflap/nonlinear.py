@@ -332,9 +332,10 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         u_coeffs = np.zeros(basis.K)
         u_coeffs[space.positions] = u
     converged = bool(residual_inf <= cfg.tol_residual)
-    # a loop that met its target and left the residual above tol_residual met
-    # TARGET_FLOOR, as any other target is 1e-2 * tol_residual
-    stop = stop or f"the sup bound met the floor target {TARGET_FLOOR:g}"
+    if not (converged or stop):
+        # the loop met its target and left the residual above tol_residual, so
+        # the target was TARGET_FLOOR, as any other is 1e-2 * tol_residual
+        stop = f"the sup bound met the floor target {TARGET_FLOOR:g}"
     return SolveReport(
         solution=SpectralFn(basis, u_coeffs),
         I0=I0,

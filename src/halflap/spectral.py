@@ -41,7 +41,7 @@ class SpectralFn:
             raise DomainMismatchError(
                 f"coefficient count {base.size} must equal the basis mode count {self.basis.K}"
             )
-        if not np.all(np.isfinite(base)):
+        if not np.isfinite(base).all():
             raise ValueError("coefficients must be finite")
         base.flags.writeable = False
         object.__setattr__(self, "_base", base)

@@ -24,12 +24,16 @@ SYMMETRY_REL_TOL = 1e-8
 MONOTONE_REL_TOL = 1e-10
 HOPF_REL_FLOOR = 1e-6
 # check_weak_mp transforms its sources in blocks of at most this many node
-# values, 128 KiB in one buffer per call, and measures each source alone when
-# a block would hold only one. A larger buffer is mapped and faulted in afresh
-# on every call, and a block that outgrows the cache gains little over lone
-# transforms, which on a large grid are one large product per axis already;
-# README "Verification battery" has the measurements
+# values, 128 KiB in one buffer per call, and the CLI's check draws its
+# sources in blocks of this size. A larger buffer is mapped and faulted in
+# afresh on every call, and a block that outgrows the cache gains little over
+# lone transforms, which on a large grid are one large product per axis
+# already; README "Verification battery" has the measurements
 WEAK_MP_BLOCK_VALUES = 2**14
+# a call checks its sources in blocks only when it has at least this many and
+# a block holds as many: a smaller block costs as much as measuring its
+# sources alone, before the screen's one lone re-measurement
+WEAK_MP_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -61,14 +65,15 @@ def check_weak_mp(basis: EigenBasis, g: GridFn, *more: GridFn) -> CheckReport:
     and a source on a domain other than the basis's DomainMismatchError, the
     first bad source in order deciding which.
 
-    Several sources are transformed in blocks (see WEAK_MP_BLOCK_VALUES), and
+    Many sources are transformed in blocks (see WEAK_MP_BLOCK_VALUES), and
     only those that _screen keeps are measured again alone, so the report and
     any error are the ones that measuring every source alone would give, bit
     for bit.
     """
     sources = (g, *more)
     rows = WEAK_MP_BLOCK_VALUES // basis.domain.num_nodes
-    screened = _screen(basis, sources, rows) if min(len(sources), rows) > 1 else range(len(sources))
+    screened = (_screen(basis, sources, rows) if min(len(sources), rows) >= WEAK_MP_MIN_ROWS
+                else range(len(sources)))
     worst = None
     for i in screened:
         source = sources[i]

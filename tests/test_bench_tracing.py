@@ -39,7 +39,7 @@ def test_traced_cli_records_every_patched_layer(tmp_path, monkeypatch):
     assert [dict(vars(mod)) for mod in modules] == before
 
 
-@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize("samples", [1, 5, 20])
 def test_traced_check_records_one_weak_mp_span_over_all_sources(samples, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
@@ -50,7 +50,8 @@ def test_traced_check_records_one_weak_mp_span_over_all_sources(samples, tmp_pat
         assert cli.main(argv) == 0
     names = [span.name for span in tracer.drain()]
     assert names.count("verification.check_weak_mp") == 1
-    # one source is analyzed alone; five are transformed as one block, which
-    # the trace does not see, and only the worst of them, which no other source
-    # ties, is analyzed alone again
-    assert names.count("spectral.analyze") == 1
+    # fewer sources than a block needs are each analyzed alone; twenty are
+    # transformed as one block, which the trace does not see, and only the
+    # worst of them, which no other source ties, is analyzed alone again
+    lone = samples if samples < verification.WEAK_MP_MIN_ROWS else 1
+    assert names.count("spectral.analyze") == lone

@@ -405,7 +405,7 @@ def test_check_draws_and_checks_its_sources_in_bounded_blocks(monkeypatch, tmp_p
         return check_weak_mp(basis, *sources)
 
     monkeypatch.setattr(halflap.cli, "check_weak_mp", recorded)
-    monkeypatch.setattr(halflap.cli, "_MP_BLOCK_VALUES", 3 * 63 + 62)
+    monkeypatch.setattr(halflap.cli, "WEAK_MP_BLOCK_VALUES", 3 * 63 + 62)
     assert run(argv + [str(tmp_path / "blocks.json")]) == 0
     assert blocks == [3, 3, 3, 1]
     assert (tmp_path / "blocks.json").read_bytes() == (tmp_path / "whole.json").read_bytes()

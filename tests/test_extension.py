@@ -113,8 +113,6 @@ def test_dtn_fd_rejects_nonpositive_step():
 
 def test_trace_constant_dimension_two():
     assert best_trace_constant(2) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    # below n = 343, Gamma((n + 1) / 2) is a float and sigma_n is taken directly
-    assert best_trace_constant(2) == math.sqrt(math.pi)
 
 
 def test_trace_constant_dimension_three():

@@ -82,6 +82,13 @@ def test_weak_mp_rejects_signed_source(basis_1d):
         check_weak_mp(basis_1d, GridFn(UNIT_INTERVAL, vals))
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # screen blocks of as few as two sources, which a call leaves to lone
+    # measurements only because they are slower
+    monkeypatch.setattr(verification, "WEAK_MP_MIN_ROWS", 2)
+
+
 def _sources(domain, count):
     return [GridFn(domain, np.random.default_rng([7, i]).uniform(0.0, 1.0, domain.num_nodes))
             for i in range(count)]
@@ -102,7 +109,9 @@ def test_weak_mp_over_many_sources_reports_the_worst_single_source(domain, K, co
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 100])
-def test_weak_mp_blocks_of_any_size_report_the_worst_single_source(basis_1d, rows, monkeypatch):
+def test_weak_mp_blocks_of_any_size_report_the_worst_single_source(
+    basis_1d, rows, monkeypatch, small_blocks
+):
     # room for one source a block measures each alone; blocks of 2 and 7 screen
     # the 100 sources across blocks, and 100 takes them in one
     sources = _sources(UNIT_INTERVAL, 100)
@@ -112,13 +121,13 @@ def test_weak_mp_blocks_of_any_size_report_the_worst_single_source(basis_1d, row
     assert check_weak_mp(basis_1d, *sources) == worst
 
 
-def test_weak_mp_identical_sources_are_all_measured_alone(basis_1d):
+def test_weak_mp_identical_sources_are_all_measured_alone(basis_1d, small_blocks):
     sources = _sources(UNIT_INTERVAL, 1) * 3
     np.testing.assert_array_equal(verification._screen(basis_1d, tuple(sources), 4), [0, 1, 2])
     assert check_weak_mp(basis_1d, *sources) == check_weak_mp(basis_1d, sources[0])
 
 
-def test_weak_mp_near_tie_is_decided_by_the_lone_measurement(basis_1d):
+def test_weak_mp_near_tie_is_decided_by_the_lone_measurement(basis_1d, small_blocks):
     # g and g + one ulp at every node have keys far closer than the screen's
     # slack, so both are measured alone and their lone keys pick the worst
     (g,) = _sources(UNIT_INTERVAL, 1)
@@ -165,7 +174,7 @@ def test_weak_mp_rejects_a_bad_source_at_any_position(basis_1d, position, bad, m
 
 
 @pytest.mark.parametrize("bad", ["signed", "other domain"])
-def test_weak_mp_raises_for_the_first_bad_source_as_alone(basis_1d, bad):
+def test_weak_mp_raises_for_the_first_bad_source_as_alone(basis_1d, bad, small_blocks):
     # a source of 1e307 at every node overflows its coefficients, which analyze
     # refuses; measured alone in order, it raises before a later bad source
     good = GridFn(UNIT_INTERVAL, np.ones(UNIT_INTERVAL.num_nodes))
