@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -93,6 +94,16 @@ class DiscreteDomain:
         )
         if not 1 <= len(lengths) == len(counts) <= len(KINDS):
             raise DomainError(f"a domain needs 1 to {len(KINDS)} lengths and as many grid counts")
+        # the eigenvalues on the grid run from sum (pi / L_a)^2 to sum (pi (N_a - 1) / L_a)^2,
+        # squared as x * x since x ** 2 raises OverflowError, and a node weighs prod L_a / N_a
+        low = [math.pi / L for L in lengths]
+        high = [x * (N - 1) for x, N in zip(low, counts)]
+        for what, value in (("lowest eigenvalue", sum(x * x for x in low)),
+                            ("highest eigenvalue", sum(x * x for x in high)),
+                            ("node weight", math.prod(L / N for L, N in zip(lengths, counts)))):
+            if not sys.float_info.min <= value < math.inf:
+                raise DomainError(f"side lengths {lengths} put the {what} {value!r} "
+                                  "outside the normal float range")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "grid_counts", counts)
         object.__setattr__(self, "kind", KINDS[len(lengths) - 1])
@@ -198,26 +209,28 @@ class SineTransform:
     def to_grid(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values sum b_k phi_k of the coefficients b at the nodes.
 
-        As with numpy's out=, the values go into out, a float array of num_nodes
-        entries that must reshape to (-1, shape[-1]) without a copy, and out is
-        returned; without out they go into a new flat array. C, shaped like
-        max_indices, holds the coefficients at factor_rows; each axis of C in
-        turn is contracted with its factor, or its two blocks, and moved last,
-        leaving the nodes in C order. A block of m coefficient rows, shape
-        (m, K), gives m rows of values, shape (m, num_nodes), the same way.
+        As with numpy's out=, the values go into out, a float array with the
+        result's entry count that must reshape to (-1, shape[-1]) without a
+        copy, and out is returned; without out they go into a new array. C,
+        shaped like max_indices, holds the coefficients at factor_rows; each
+        axis of C in turn is contracted with its factor, or its two blocks, and
+        moved last, leaving the nodes in C order. A block of m coefficient
+        rows, shape (m, K), gives m rows of values, shape (m, num_nodes): its
+        rows ride along as one more, last axis of C and come out first.
         """
-        if coeffs.ndim > 1:
-            return self._block_to_grid(coeffs, out)
         counts = self.max_indices
-        # on one axis the modes are rows 0..K-1 in order, as (j pi / L)^2 grows
-        # with j and the sector keeps every other row: C is the coefficients
-        if len(self.factor_rows) == 1:
+        if coeffs.ndim > 1:
+            c = np.zeros(counts + coeffs.shape[:1])
+            c[self.factor_rows] = coeffs.T
+        elif len(self.factor_rows) == 1:
+            # on one axis the modes are rows 0..K-1 in order, as (j pi / L)^2 grows
+            # with j and the sector keeps every other row: C is the coefficients
             c = coeffs
         else:
             c = np.zeros(counts)
             c[self.factor_rows] = coeffs
         if out is None:
-            out = np.empty(self.num_nodes)
+            out = np.empty(coeffs.shape[:-1] + (self.num_nodes,))
         for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
             c = c.reshape(count, -1).T
             dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
@@ -233,44 +246,21 @@ class SineTransform:
         to_grid transposed: each node axis in turn is contracted with its
         coeff_factors entry, or its two blocks, and moved last; each mode then
         reads its entry, times the node weight. A block of m rows of values,
-        shape (m, num_nodes), gives m coefficient rows, shape (m, K).
+        shape (m, num_nodes), gives m coefficient rows, shape (m, K), its rows
+        riding along as the last axis as in to_grid.
         """
-        if values.ndim > 1:
-            return self._block_to_coeffs(values)
-        c = values
+        block = values.ndim > 1
+        # one vector is its own transpose, but .T would make a view every call
+        c = values.T if block else values
         for nodes, m in zip(self.shape, self.coeff_factors):
             c = c.reshape(nodes, -1)
             c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
+        if block:
+            c = c.reshape(len(values), *self.max_indices)[(slice(None), *self.factor_rows)]
+            return c * self.weight
         if len(self.factor_rows) > 1:
             c = c.reshape(self.max_indices)[self.factor_rows]
         return c.reshape(-1) * self.weight
-
-    # A block's rows ride along as one more, last axis of C, so each axis is
-    # one product for the whole block, and come out first. These bodies are
-    # kept apart from the single-vector ones, which the solver runs on every
-    # step, so that one vector does none of the block's extra work.
-    def _block_to_grid(self, coeffs: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        counts = self.max_indices
-        c = np.zeros(counts + coeffs.shape[:1])
-        c[self.factor_rows] = coeffs.T
-        if out is None:
-            out = np.empty((len(coeffs), self.num_nodes))
-        for axis, (count, nodes, m) in enumerate(zip(counts, self.shape, self.factors)):
-            c = c.reshape(count, -1).T
-            dest = out.reshape(-1, nodes) if axis == len(counts) - 1 else None
-            if dest is not None and not np.may_share_memory(dest, out):
-                raise ValueError(f"out must reshape to (-1, {nodes}) without a copy")
-            c = (_unfold(c[:, ::2] @ m[0], c[:, 1::2] @ m[1], nodes, dest)
-                 if isinstance(m, tuple) else np.matmul(c, m, out=dest))
-        return out
-
-    def _block_to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        c = values.T
-        for nodes, m in zip(self.shape, self.coeff_factors):
-            c = c.reshape(nodes, -1)
-            c = (_fold(c, *m) if isinstance(m, tuple) else m @ c).T
-        c = c.reshape(len(values), *self.max_indices)[(slice(None), *self.factor_rows)]
-        return c * self.weight
 
 
 @dataclass(frozen=True, eq=False)

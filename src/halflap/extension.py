@@ -25,7 +25,9 @@ class TruncationError(ValueError):
 def evaluate_extension(f: SpectralFn, y: float) -> GridFn:
     """Horizontal slice of the harmonic extension at a finite height y >= 0."""
     y = as_real("extension height y", y, at_least=0)
-    decay = np.exp(-f.basis.sqrt_lambdas * y)
+    # at a large finite y the exponent overflows to -inf, whose exp 0 is exact
+    with np.errstate(over="ignore"):
+        decay = np.exp(-f.basis.sqrt_lambdas * y)
     return GridFn(f.basis.domain, f.basis.to_grid(f.coeffs * decay))
 
 

@@ -148,10 +148,12 @@ def test_to_grid_writes_into_out(dims, K):
 
 def test_to_grid_refuses_an_out_it_cannot_view():
     # a transposed node array reshapes to the node rows only as a copy, which
-    # would take the values and leave out unwritten
+    # would take the values and leave out unwritten; so does a transposed block
     basis = eigenpairs(_domain((2.0, 1.0, 256, 128)), 127)
     with pytest.raises(ValueError, match="without a copy"):
         basis.to_grid(np.ones(127), out=np.empty((255, 127)).T)
+    with pytest.raises(ValueError, match="without a copy"):
+        basis.to_grid(np.ones((3, 127)), out=np.empty((basis.num_nodes, 3)).T)
 
 
 # 256/K64 direct, 1024/K256 folded, the 64^2 square direct, the long rectangle
@@ -179,6 +181,21 @@ def test_a_block_transforms_each_row_as_one_vector(dims, K, space):
         assert np.max(np.abs(grids[row] - one)) <= 1e-14 * np.max(np.abs(one))
         one = t.to_coeffs(values[row])
         assert np.max(np.abs(blocks[row] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("space", ["basis", "sector"])
+@pytest.mark.parametrize("dims, K", [((1.0, 256), 64), ((1.0, 1024), 256)])
+def test_a_one_row_block_stays_a_block(dims, K, space):
+    # 256/K64 direct and 1024/K256 folded: a (1, K) or (1, num_nodes) block
+    # keeps its row axis both ways and holds the one vector's transform
+    basis = eigenpairs(_domain(dims), K)
+    t = basis if space == "basis" else basis.sector
+    rng = np.random.default_rng(23)
+    coeffs, values = rng.standard_normal((1, t.K)), rng.standard_normal((1, t.num_nodes))
+    grid, block = t.to_grid(coeffs), t.to_coeffs(values)
+    assert grid.shape == values.shape and block.shape == coeffs.shape
+    for got, want in ((grid[0], t.to_grid(coeffs[0])), (block[0], t.to_coeffs(values[0]))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _reference_to_grid(t, coeffs):
@@ -702,6 +719,32 @@ def test_side_lengths_must_be_real_numbers(bad):
         DiscreteDomain((1.0, bad), (8, 8))
     for L in (2, 2.0, np.int64(2), np.float32(2.0)):
         assert DiscreteDomain((1.0, L), (8, 8)).lengths == (1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "lengths, counts, what",
+    [
+        ((1e300,), (64,), "lowest eigenvalue 0.0"),  # (pi / L)^2 underflows
+        ((1e200,), (64,), "lowest eigenvalue 0.0"),
+        ((1e-300,), (64,), "lowest eigenvalue inf"),
+        ((1e-152,), (64,), "highest eigenvalue inf"),  # (63 pi / L)^2 overflows
+        ((1e-120,) * 3, (8,) * 3, "node weight 0.0"),
+        ((1e300, 1e300, 1.0), (8,) * 3, "node weight inf"),
+    ],
+)
+def test_domain_refuses_eigenvalues_or_a_node_weight_outside_the_float_range(
+    lengths, counts, what
+):
+    message = f"side lengths {lengths} put the {what} outside the normal float range"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        DiscreteDomain(lengths, counts)
+
+
+@pytest.mark.parametrize("L", [1e150, 1e-150])
+def test_domain_accepts_extreme_lengths_inside_the_float_range(L):
+    basis = eigenpairs(make_interval(L, 64), 2)
+    assert np.all(np.isfinite(basis.lambdas)) and basis.lambdas[0] > 0
+    assert 0 < basis.domain.weight < math.inf
 
 
 def test_domain_kind_follows_the_axis_count():

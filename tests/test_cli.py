@@ -152,6 +152,37 @@ def test_extend_writes_plot_rows(capsys):
     assert float(u) == pytest.approx(math.sqrt(2.0) * math.sin(math.pi * float(x)), rel=1e-12)
 
 
+def test_extend_at_a_large_finite_height_writes_zeros_quietly(capsys):
+    code = run(["extend", "--domain", "interval:1:64", "--modes", "16", "--mode", "2",
+                "--y", "1e308"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = captured.out.strip().splitlines()
+    assert rows[0] == "x,u" and len(rows) == 64
+    assert {row.split(",")[1] for row in rows[1:]} == {"0"}
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["solve", "--domain", "interval:1e300:64", "--p", "2", "--modes", "16"],
+         "lowest eigenvalue 0.0"),
+        (["solve", "--domain", "interval:1e200:64", "--p", "2", "--modes", "16"],
+         "lowest eigenvalue 0.0"),
+        (["eig", "--domain", "interval:1e300:64"], "lowest eigenvalue 0.0"),
+        (["eig", "--domain", "interval:1e-300:64"], "lowest eigenvalue inf"),
+    ],
+)
+def test_a_domain_outside_the_float_range_exits_2(argv, what, capsys):
+    # these used to exit 0: a solve "converged" with I0 null or 0, and eig
+    # printed eigenvalues of 0 or inf
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    L = float(argv[2].split(":")[1])
+    assert f"side lengths ({L!r},) put the {what} outside the normal float range" in captured.err
+
+
 def test_check_battery_passes_on_good_config(capsys):
     code, out = run_capture(
         ["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",

@@ -54,6 +54,13 @@ def test_extension_decay_bound():
     assert sup <= 2.0 * math.exp(-10.0 * math.pi)
 
 
+def test_extension_at_a_large_finite_height_is_zero_without_a_warning():
+    # sqrt(lambda_k) y overflows to inf, and exp(-inf) = 0 is exact; the suite
+    # turns the overflow's RuntimeWarning into an error
+    f = mode(unit_basis(64, 16), 2)
+    assert not evaluate_extension(f, 1e308).values.any()
+
+
 def test_extension_rejects_negative_height():
     basis = unit_basis()
     with pytest.raises(ValueError):
