@@ -50,7 +50,6 @@ import numpy as np
 from .basis import (
     AliasingError,
     DiscreteDomain,
-    DomainError,
     EigenBasis,
     SineTransform,
     as_integer,
@@ -94,6 +93,7 @@ class SolveConfig:
 
     p may be left None and supplied as the explicit argument of solve; when
     both are given they must agree. max_iter caps the fixed-point steps.
+    tol_residual bounds the absolute sup residual, whatever the scale of u.
     """
 
     p: float | None = None
@@ -188,13 +188,15 @@ def _project(basis: SineTransform, u: np.ndarray, p: float, buf: np.ndarray):
     return projection, u * basis.sqrt_lambdas - projection
 
 
-def _diverged_report(domain: DiscreteDomain, p: float, cfg: SolveConfig, detail: str):
-    return SolveReport(
-        p=p, K=cfg.K, tol_residual=cfg.tol_residual, rng_seed=cfg.rng_seed,
-        domain=domain, detail=detail,
-    )
+def _report(domain: DiscreteDomain, p: float, cfg: SolveConfig, **measured) -> SolveReport:
+    return SolveReport(p=p, K=cfg.K, tol_residual=cfg.tol_residual, rng_seed=cfg.rng_seed,
+                       domain=domain, **measured)
 
 
+# an iterate that leaves the float range turns inf or nan without a warning,
+# and the loop's finiteness checks end the solve; the plain step's scale is a
+# numpy float for this, as Python's ** raises OverflowError
+@np.errstate(over="ignore", invalid="ignore")
 def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarray,
                  sup_mode: float):
     """Anderson-mixed Petviashvili iteration from the (perturbed) ground mode.
@@ -247,7 +249,7 @@ def _fixed_point(basis: SineTransform, p: float, cfg: SolveConfig, buf: np.ndarr
         nehari = float(u @ Pu)
         if not 0.0 < nehari < math.inf:
             return None, None, step, "fixed-point iteration produced a nonfinite iterate"
-        g = (float((s * u) @ u) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
+        g = np.float64(float((s * u) @ u) / nehari) ** (p / (p - 1.0)) * (Pu / s)  # the plain step
         f = g - u
         if step > 0:
             row = history % ANDERSON_DEPTH
@@ -311,7 +313,7 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
     sup_mode = math.prod(math.sqrt(2.0 / L) for L in domain.lengths)
     u, r, steps, stop = _fixed_point(space, p, cfg, buf, sup_mode)
     if u is None:
-        return _diverged_report(domain, p, cfg, stop)
+        return _report(domain, p, cfg, detail=stop)
     a_half = u * space.sqrt_lambdas
     space.to_grid(u, out=grid)
     sup_norm = float(np.abs(grid, out=buf).max())
@@ -336,7 +338,8 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         # the loop met its target and left the residual above tol_residual, so
         # the target was TARGET_FLOOR, as any other is 1e-2 * tol_residual
         stop = f"the sup bound met the floor target {TARGET_FLOOR:g}"
-    return SolveReport(
+    return _report(
+        domain, p, cfg,
         solution=SpectralFn(basis, u_coeffs),
         I0=I0,
         residual_inf=residual_inf,
@@ -344,11 +347,6 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
         sup_norm=sup_norm,
         iterations=steps,
         converged=converged,
-        p=p,
-        K=cfg.K,
-        tol_residual=cfg.tol_residual,
-        rng_seed=cfg.rng_seed,
-        domain=domain,
         detail="" if converged else f"residual above tol_residual: {stop}",
     )
 
@@ -356,8 +354,8 @@ def solve(domain: DiscreteDomain, p: float | None, cfg: SolveConfig) -> SolveRep
 def _sweep_row(domain: DiscreteDomain, p: float, cfg: SolveConfig) -> SolveReport:
     try:
         return solve(domain, p, replace(cfg, p=p))
-    except (ConfigError, DomainError, AliasingError) as exc:
-        return _diverged_report(domain, p, cfg, f"rejected: {exc}")
+    except (ConfigError, AliasingError) as exc:
+        return _report(domain, p, cfg, detail=f"rejected: {exc}")
 
 
 def sweep(domain: DiscreteDomain, p_list, cfg: SolveConfig) -> list[SolveReport]:

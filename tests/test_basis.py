@@ -512,6 +512,27 @@ def test_nonlinear_imports_nothing_from_verification():
     assert not [m for m in imported if m.split(".")[-1] == "verification"]
 
 
+def test_every_module_reads_each_name_it_imports():
+    # an import kept only for a caller outside the module is dead code in it;
+    # __init__ imports to re-export
+    for path in sorted(Path(halflap.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert imported - read == set(), path.name
+
+
 def test_dunder_all_matches_the_public_package_names():
     # __all__ and the package imports are two lists of one set of names
     bound = {

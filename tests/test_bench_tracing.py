@@ -55,3 +55,4 @@ def test_traced_check_records_one_weak_mp_span_over_all_sources(samples, tmp_pat
     # worst of them, which no other source ties, is analyzed alone again
     lone = samples if samples < verification.WEAK_MP_MIN_ROWS else 1
     assert names.count("spectral.analyze") == lone
+    assert names.count("spectral.synthesize") == lone

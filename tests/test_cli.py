@@ -183,6 +183,20 @@ def test_a_domain_outside_the_float_range_exits_2(argv, what, capsys):
     assert f"side lengths ({L!r},) put the {what} outside the normal float range" in captured.err
 
 
+@pytest.mark.parametrize("domain, modes", [
+    ("interval:1e-150:64", "2"), ("box:1e-100:1e-100:1e-100:8:8:8", "1"),
+])
+def test_a_solve_leaving_the_float_range_exits_1_with_its_report(domain, modes, capsys):
+    # the interval used to die with an OverflowError traceback, and the box
+    # printed an overflow warning
+    code = run(["solve", "--domain", domain, "--p", "1.5", "--modes", modes])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    data = json.loads(captured.out)
+    assert data["solution_coeffs"] is None
+    assert data["detail"] == "fixed-point iteration produced a nonfinite iterate"
+
+
 def test_check_battery_passes_on_good_config(capsys):
     code, out = run_capture(
         ["check", "--domain", "interval:1:256", "--p", "2", "--modes", "64",

@@ -549,6 +549,19 @@ def test_zero_projection_ends_in_the_nonfinite_report(monkeypatch):
     assert "nonfinite iterate" in rep.detail
 
 
+@pytest.mark.parametrize("domain, K", [
+    (make_interval(1e-150, 64), 2),  # the plain step's scale overflows
+    (DiscreteDomain((1e-100,) * 3, (8, 8, 8)), 1),  # the projection of u^p overflows
+])
+def test_an_iterate_leaving_the_float_range_ends_in_the_nonfinite_report(domain, K):
+    # the solution's amplitude grows like a negative power of the side length;
+    # these used to raise OverflowError, or warn in the analysis, mid-solve
+    rep = solve(domain, 1.5, SolveConfig(p=1.5, K=K))
+    assert not rep.converged
+    assert rep.solution is None
+    assert rep.detail == "fixed-point iteration produced a nonfinite iterate"
+
+
 def test_2d_defect_falls_as_modes_grow():
     # the unprojected defect relative to sup u^p (= sup A_half u) on 64^2 at
     # p = 2 measured 0.123, 0.065 and 0.021 at K = 15, 30 and 60
